@@ -40,8 +40,11 @@ from repro.core.binarized import BinarizedNetwork
 from repro.core.estimate import ColumnEstimator, EstimatorPolicy, SkipStats
 from repro.core.homogenize import Partition, homogenize, natural_partition
 from repro.core.matrix_compute import (
+    RowPlan,
+    Scratch,
     apply_matrix_fn,
     ensure_binary,
+    fold_rows,
     layer_bias,
     layer_weight_matrix,
 )
@@ -162,12 +165,14 @@ class HardwareSplitMatrix(SplitMatrix):
             )
         return cells
 
-    def _sums_from_gathered(self, gathered: np.ndarray) -> np.ndarray:
-        # The fused funnel: both block_sums and block_bits land here, so
-        # this is where the batch's read events reach the block arrays
-        # (the reference paths go through compute_reference, which
-        # accounts its own reads).
-        sums = super()._sums_from_gathered(gathered)
+    def _sums_from_gathered(
+        self, gathered: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        # The fused funnel: block_sums, block_bits and the fused split
+        # compute all land here, so this is where the batch's read
+        # events reach the block arrays (the reference paths go through
+        # compute_reference, which accounts its own reads).
+        sums = super()._sums_from_gathered(gathered, out)
         for crossbar in self._block_crossbars:
             crossbar.array.note_reads(gathered.shape[0])
         return sums
@@ -405,20 +410,40 @@ def assemble_sei_network(
             engine=engine,
         )
         binarized.layer_computes[index] = _split_compute(
-            split, obs_index=index, estimator=estimator
+            split,
+            obs_index=index,
+            estimator=estimator,
+            threshold=thresholds.get(index),
         )
         hardware_layers[index] = {"kind": "split", "matrix": split}
         for k, array in enumerate(split.block_arrays):
             device_arrays[f"layer{index}/block{k}"] = array
 
+    binarized.prebinarized = folded_layers(binarized.layer_computes)
     return binarized
+
+
+def folded_layers(layer_computes: Dict[int, object]) -> frozenset:
+    """Indices whose compute already emits its layer's 0/1 plane.
+
+    Such a compute folded the threshold comparison into its kernel
+    (``compute.prebinarized``), so the network's outer binarize pass
+    would be an identity and is skipped.
+    """
+    return frozenset(
+        index
+        for index, compute in layer_computes.items()
+        if getattr(compute, "prebinarized", False)
+    )
 
 
 def _record_mvms(
     obs_index: Optional[int],
-    bits: np.ndarray,
+    bits: Optional[np.ndarray],
     cols: int,
     *,
+    rows: Optional[int] = None,
+    block_ones: Optional[np.ndarray] = None,
     blocks: int = 1,
     cells_per_weight: int,
     sa_events: Optional[int] = None,
@@ -428,9 +453,12 @@ def _record_mvms(
 ) -> None:
     """Count one crossbar invocation when a recorder is active.
 
-    One ``None`` check when instrumentation is off; the activity
-    statistics never touch the RNG, so traced runs consume the exact
-    same noise stream as untraced ones.
+    ``bits`` is the ``(N, rows)`` input presented to the rows; a gathered
+    split layout passes ``bits=None`` with the logical ``rows`` and its
+    ``(N, K)`` per-block active-row counts ``block_ones`` instead (the
+    same counters: 0/1 counts are exact).  One ``None`` check when
+    instrumentation is off; the activity statistics never touch the RNG,
+    so traced runs consume the exact same noise stream as untraced ones.
     """
     rec = obs.active()
     if rec is None or obs_index is None:
@@ -442,6 +470,8 @@ def _record_mvms(
         obs_index,
         bits,
         cols,
+        rows=rows,
+        active_counts=None if block_ones is None else block_ones.sum(axis=1),
         blocks=blocks,
         cells_per_weight=cells_per_weight,
         sa_events=sa_events,
@@ -572,16 +602,29 @@ def _split_compute(
     split: HardwareSplitMatrix,
     obs_index: Optional[int] = None,
     estimator: Optional[EstimatorPolicy] = None,
+    threshold: Optional[float] = None,
 ):
+    """Layer compute of a hidden split layer (§4.3 block vote).
+
+    The fused computes take their rows from one compiled
+    :class:`~repro.core.matrix_compute.RowPlan` (im2col unfold and the
+    padded block gather in a single ``np.take``), run the K block dgemms
+    into per-thread scratch and emit the fresh float64 0/1 vote plane.
+    With the layer ``threshold`` in ``[0, 1)`` the outer binarize is an
+    identity on that plane, so the compute is marked ``prebinarized``.
+    """
     noise_draws = sum(
         xbar.num_cells
         for xbar in split._block_crossbars
         if xbar.fused_matrix is None
     )
+    total_rows = split.weights.shape[0]
 
-    def record(bits, sa_events=None, skip=None):
+    def record(bits=None, sa_events=None, skip=None, block_ones=None):
         _record_mvms(
             obs_index, bits, split.cols,
+            rows=total_rows,
+            block_ones=block_ones,
             blocks=split.num_blocks,
             cells_per_weight=split._block_crossbars[0].cells_per_weight,
             noise_draws=noise_draws,
@@ -600,6 +643,33 @@ def _split_compute(
 
         return compute
 
+    plan = RowPlan(split._gather)
+    scratch = Scratch()
+    vote = split.decision.vote_threshold
+    num_blocks = split.num_blocks
+    cols = split.cols
+
+    def off_counts(gathered: np.ndarray) -> np.ndarray:
+        # select rows -> accumulate -> decide -> count votes, all in
+        # per-thread scratch; the block dgemms see the same operands as
+        # split.block_bits, so the decisions are bit-identical.
+        ones = gathered.sum(axis=2)
+        record(block_ones=ones)
+        sums = split._sums_from_gathered(
+            gathered,
+            out=scratch.get(
+                "sums", (gathered.shape[0], num_blocks, cols), np.float64
+            ),
+        )
+        fired = scratch.get("fired", sums.shape, np.bool_)
+        np.greater(
+            sums, split.decision.thresholds_for(ones)[:, :, None], out=fired
+        )
+        return fired.sum(axis=1, dtype=np.uint8)
+
+    # ``kernel`` maps the layer's rows to per-position vote counts; all
+    # kernels but the float32 checkpoint schedule read the planned rows.
+    kernel, planned = off_counts, True
     # Estimator hook-in: per-block interval bounds plus §4.3 vote-level
     # early termination.  A block's firing bit is decided chunk by chunk
     # against its dynamic threshold; a column whose *vote* is settled
@@ -622,10 +692,6 @@ def _split_compute(
             )
             for xbar, rows_k in zip(split._block_crossbars, block_rows)
         ]
-        vote = split.decision.vote_threshold
-        num_blocks = split.num_blocks
-        cols = split.cols
-        total_rows = split.weights.shape[0]
         # 0/1 block-membership matrix: one matmul yields every block's
         # per-position active-row count.
         membership32 = np.zeros((total_rows, num_blocks), dtype=np.float32)
@@ -638,42 +704,21 @@ def _split_compute(
         # off path's batched layout for the unskippable prefix blocks.
         needs32 = any(e.has_checkpoint for e in estimators)
         block_sizes = [len(r) for r in block_rows]
-        # Natural (contiguous-range) partitions need no gather at all: a
-        # block's column slice of the batch feeds BLAS as-is (bitwise
-        # identical to the gathered layout — trailing padded zero rows
-        # never change a partial sum, and 0/1 counts are exact in any
-        # order).  Scattered partitions keep the off path's flat gather.
-        spans = []
-        for rows_k in block_rows:
-            first = int(rows_k[0]) if rows_k.size else 0
-            last = first + rows_k.size
-            if not np.array_equal(rows_k, np.arange(first, last)):
-                spans = None
-                break
-            spans.append((first, last))
 
-        def est_fn_blocks(bits: np.ndarray) -> np.ndarray:
+        def est_fn_blocks(gathered: np.ndarray) -> np.ndarray:
             # Deferred-block schedule: blocks are computed with the
-            # *same* gathered layout + strided matmuls as the off path
+            # *same* planned layout + strided matmuls as the off path
             # (bit-identical arithmetic by construction), but each
             # block's GEMM only sees the positions whose §4.3 vote is
             # still live — once a position's vote is settled (counts
             # >= V, or mathematically unreachable), its remaining block
             # crossbars are never driven at all.
-            n = bits.shape[0]
+            n = gathered.shape[0]
             stats = SkipStats()
             matrices = split._block_matrices()
-            if spans is None:
-                gathered = split._gathered(bits)
-                ones_blk = gathered.sum(axis=2)
-            else:
-                gathered = bits
-                ones_blk = np.stack(
-                    [bits[:, a:b].sum(axis=1) for a, b in spans], axis=1
-                )
+            ones_blk = gathered.sum(axis=2)
             counts = np.zeros((n, cols), dtype=np.uint8)
             alive = np.arange(n)
-            g_al = gathered
             ones_al = ones_blk
             counts_al = counts
             dec_al = np.zeros((n, cols), dtype=bool)
@@ -686,14 +731,14 @@ def _split_compute(
                 if alive.size == 0:
                     break
                 processed[k] = alive.size
-                if spans is None:
-                    operand = g_al[:, k, :]
-                    mat = matrices[k]
-                else:
-                    first, last = spans[k]
-                    operand = g_al[:, first:last]
-                    mat = matrices[k][: last - first]
-                sums = operand @ mat
+                # Only block k's rows of the live positions are copied;
+                # before any retirement the operand is the strided view.
+                operand = (
+                    gathered[:, k, :] if alive.size == n
+                    else gathered[alive, k, :]
+                )
+                sums = scratch.get("est_sums", (alive.size, cols), np.float64)
+                np.matmul(operand, matrices[k], out=sums)
                 sums += split.block_bias
                 thr = split.decision.thresholds_for(ones_al[:, k])[:, None]
                 out_k = sums > thr
@@ -721,7 +766,6 @@ def _split_compute(
                         counts[alive[done]] = counts_al[done]
                         keep = ~done
                         alive = alive[keep]
-                        g_al = g_al[keep]
                         ones_al = ones_al[keep]
                         counts_al = counts_al[keep]
                         dec_al = dec_al[keep]
@@ -733,11 +777,11 @@ def _split_compute(
                         int(processed[k])
                     )
             record(
-                bits,
+                block_ones=ones_blk,
                 sa_events=stats.est_positions - stats.est_decided,
                 skip=stats,
             )
-            return (counts >= vote).astype(np.float64)
+            return counts
 
         def est_fn(bits: np.ndarray) -> np.ndarray:
             n = bits.shape[0]
@@ -811,8 +855,7 @@ def _split_compute(
                 # unmodified off-mode vote on the whole batch (identical
                 # arithmetic; block_bits accounts its own reads).
                 record(bits)
-                fb = split.block_bits(bits, validate=False).sum(axis=1)
-                return (fb >= vote).astype(np.float64)
+                return split.block_bits(bits, validate=False).sum(axis=1)
             for k in range(num_blocks):
                 if processed[k]:
                     split._block_crossbars[k].array.note_reads(
@@ -823,31 +866,30 @@ def _split_compute(
                 sa_events=stats.est_positions - stats.est_decided,
                 skip=stats,
             )
-            return (counts >= vote).astype(np.float64)
+            return counts
 
-        kernel = est_fn if needs32 else est_fn_blocks
+        kernel, planned = (est_fn, False) if needs32 else (est_fn_blocks, True)
 
-        def est_compute(layer: Layer, x: np.ndarray) -> np.ndarray:
-            ensure_binary(x, "split-matrix inputs")
-            return apply_matrix_fn(
-                layer, x, kernel, add_bias=False, contiguous=False
-            )
-
-        return est_compute
-
-    def matrix_fn(bits: np.ndarray) -> np.ndarray:
-        record(bits)
-        counts = split.block_bits(bits, validate=False).sum(axis=1)
-        return (counts >= split.decision.vote_threshold).astype(np.float64)
+    # The vote plane is 0/1, so a threshold in [0, 1) maps it to itself.
+    emit_bits = threshold is not None and 0.0 <= float(threshold) < 1.0
 
     def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
-        # As above: one validation pass on the compact input beats
-        # re-checking the unfolded receptive fields.
+        # One validation pass on the compact input beats re-checking the
+        # unfolded receptive fields.
         ensure_binary(x, "split-matrix inputs")
-        return apply_matrix_fn(
-            layer, x, matrix_fn, add_bias=False, contiguous=False
+        rows = (
+            plan.gather(layer, x, scratch) if planned
+            else _as_matrix_rows(layer, x)
         )
+        votes = fold_rows(layer, x.shape, kernel(rows))
+        # A fresh float64 plane in the layer's output layout, exactly
+        # what the outer binarize would write: the next layers see the
+        # same data (a uint8 plane would make their matmul mixed-type).
+        out = np.empty(votes.shape)
+        np.greater_equal(votes, vote, out=out, casting="unsafe")
+        return out
 
+    compute.prebinarized = emit_bits
     return compute
 
 
@@ -1022,36 +1064,35 @@ def dac_analog_layer_compute(
         array.note_reads(driven.shape[0] if driven.ndim > 1 else 1)
 
     def matrix_fn(x: np.ndarray) -> np.ndarray:
+        # The reference engine's pre-fusion per-slice loop.
         driven = dac.quantize(np.clip(x, 0.0, 1.0))
         _record_dac(obs_index, driven, matrix.shape[1], array.shape[0])
-        if engine == "reference":
-            total = np.zeros(driven.shape[:-1] + (matrix.shape[1],))
-            for coeff, cells in zip(coefficients, array.normalized):
-                total = total + coeff * (driven @ cells) * cell_max
-            out = total * scale
-        else:
-            out = driven @ merged_matrix()
+        total = np.zeros(driven.shape[:-1] + (matrix.shape[1],))
+        for coeff, cells in zip(coefficients, array.normalized):
+            total = total + coeff * (driven @ cells) * cell_max
+        out = total * scale
         note_reads(driven)
         return out
 
-    def fused_matrix_fn(driven: np.ndarray) -> np.ndarray:
-        _record_dac(obs_index, driven, matrix.shape[1], array.shape[0])
-        out = driven @ merged_matrix()
-        note_reads(driven)
-        return out
+    plan = RowPlan()
+    scratch = Scratch()
 
     def compute(inner_layer: Layer, x: np.ndarray) -> np.ndarray:
         if engine == "reference":
             return apply_matrix_fn(inner_layer, x, matrix_fn)
         # The DACs sit on the feature-map values; quantizing before the
-        # im2col unfold touches each value once instead of once per
-        # receptive field it lands in.  Bit-identical: quantization is
-        # elementwise, the unfold is a gather, and zero padding maps to
-        # the zero DAC level either way.
-        driven = dac.quantize(np.clip(x, 0.0, 1.0))
-        return apply_matrix_fn(
-            inner_layer, driven, fused_matrix_fn, contiguous=False
+        # unfold touches each value once instead of once per receptive
+        # field it lands in.  Bit-identical: quantization is elementwise,
+        # the planned unfold is a gather into per-thread scratch, and
+        # zero padding maps to the zero DAC level either way.
+        driven = plan.gather(
+            inner_layer, dac.quantize(np.clip(x, 0.0, 1.0)), scratch
         )
+        _record_dac(obs_index, driven, matrix.shape[1], array.shape[0])
+        out = driven @ merged_matrix()
+        note_reads(driven)
+        out += layer_bias(inner_layer)
+        return fold_rows(inner_layer, x.shape, out)
 
     # Expose the compiled analog state for engines that re-lower this
     # layer (the packed engine drives the same merged matrix with

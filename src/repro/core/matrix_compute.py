@@ -10,7 +10,8 @@ this module adapts them to the two layer types so they can be plugged into
 
 from __future__ import annotations
 
-from typing import Callable
+import threading
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -20,7 +21,10 @@ from repro.nn.layers import Conv2D, Dense, Layer
 
 __all__ = [
     "MatrixFn",
+    "Scratch",
+    "RowPlan",
     "apply_matrix_fn",
+    "fold_rows",
     "ensure_binary",
     "layer_weight_matrix",
     "layer_bias",
@@ -95,19 +99,158 @@ def apply_matrix_fn(
         return out + layer_bias(layer) if add_bias else out
 
     if isinstance(layer, Conv2D):
-        n, c, h, w = x.shape
         kernel = layer.kernel_size
-        out_h = F.conv_output_size(h, kernel, layer.stride, layer.padding)
-        out_w = F.conv_output_size(w, kernel, layer.stride, layer.padding)
         cols = F.im2col(x, kernel, kernel, layer.stride, layer.padding)
         out = fn(cols)
         if add_bias:
             out = out + layer_bias(layer)
-        folded = out.reshape(n, out_h, out_w, layer.out_channels).transpose(
-            0, 3, 1, 2
-        )
+        folded = fold_rows(layer, x.shape, out)
         return np.ascontiguousarray(folded) if contiguous else folded
 
     raise ShapeError(
         f"cannot apply a matrix compute to {type(layer).__name__}"
     )
+
+
+def fold_rows(
+    layer: Layer, in_shape: Tuple[int, ...], rows: np.ndarray
+) -> np.ndarray:
+    """View flat ``(positions, cols)`` outputs as the layer's output.
+
+    ``in_shape`` is the shape of the layer's input batch.  Dense outputs
+    are returned as-is; Conv2D outputs become the transposed
+    ``(n, cols, out_h, out_w)`` view that :func:`apply_matrix_fn`
+    returns with ``contiguous=False``.
+    """
+    if isinstance(layer, Conv2D):
+        n, _, h, w = in_shape
+        kernel = layer.kernel_size
+        out_h = F.conv_output_size(h, kernel, layer.stride, layer.padding)
+        out_w = F.conv_output_size(w, kernel, layer.stride, layer.padding)
+        return rows.reshape(n, out_h, out_w, rows.shape[1]).transpose(
+            0, 3, 1, 2
+        )
+    return rows
+
+
+class Scratch:
+    """Reusable temporaries of one compiled kernel, keyed by name.
+
+    Large per-call arrays (gathered receptive fields, block sums,
+    integer accumulators) otherwise bounce through the allocator's mmap
+    path and re-fault every page on each batch.  Each thread gets its
+    own buffers (one compiled network may serve several threads, e.g.
+    gateway shards sharing a session), and a buffer only grows: it holds
+    the bytes of the largest request that thread has made under its key.
+    A returned array is valid until the same thread asks for the same
+    key again.
+    """
+
+    def __init__(self) -> None:
+        self._local = threading.local()
+
+    def get(self, key: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        bufs: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = getattr(
+            self._local, "bufs", None
+        )
+        if bufs is None:
+            bufs = self._local.bufs = {}
+        shape, dtype = tuple(shape), np.dtype(dtype)
+        raw, view = bufs.get(key, (None, None))
+        if view is not None and view.shape == shape and view.dtype == dtype:
+            return view
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        if raw is None or raw.size < nbytes:
+            raw = np.empty(nbytes, np.uint8)
+        view = raw[:nbytes].view(dtype).reshape(shape)
+        bufs[key] = (raw, view)
+        return view
+
+
+class RowPlan:
+    """Compiled row gather of one weighted layer: unfold + block layout.
+
+    For each input shape the plan holds one ``np.intp`` index that
+    combines the im2col unfold of a Conv2D layer (zero padding points at
+    a zero sentinel column appended to the flattened input) with a
+    padded block gather ``groups`` of shape ``(K, H)`` over the layer's
+    matrix rows (entries equal to the row count are padding and also
+    point at the sentinel).  :meth:`gather` then writes the whole
+    ``(positions, K, H)`` layout — ``split._gathered(F.im2col(x))`` — in
+    one ``np.take``.  Without ``groups`` the layout is the plain
+    ``(positions, rows)`` im2col matrix.
+    """
+
+    def __init__(self, groups: Optional[np.ndarray] = None) -> None:
+        self.groups = (
+            None if groups is None else np.asarray(groups, dtype=np.intp)
+        )
+        self._index: Dict[Tuple[int, ...], np.ndarray] = {}
+
+    def _compile(self, layer: Layer, in_shape: Tuple[int, ...]) -> np.ndarray:
+        """The ``(P, K, H)`` (or ``(P, rows)``) gather index for one input
+        shape, into the flattened sample plus the sentinel column."""
+        sentinel = int(np.prod(in_shape, dtype=np.int64))
+        if isinstance(layer, Dense):
+            if in_shape != (layer.in_features,):
+                raise ShapeError(
+                    f"Dense hardware compute expects "
+                    f"(n, {layer.in_features}), got (n, {in_shape})"
+                )
+            unfold = np.arange(sentinel, dtype=np.intp)[None, :]
+        elif isinstance(layer, Conv2D):
+            if len(in_shape) != 3:
+                raise ShapeError(
+                    "Conv2D hardware compute expects (n, c, h, w), got "
+                    f"(n, {in_shape})"
+                )
+            c, h, w = in_shape
+            pad = layer.padding
+            # An index image with the zero padding pointing at the
+            # sentinel, unfolded by im2col itself: the plan inherits its
+            # exact receptive-field ordering.
+            image = np.full(
+                (1, c, h + 2 * pad, w + 2 * pad), sentinel, np.intp
+            )
+            image[0, :, pad : pad + h, pad : pad + w] = np.arange(
+                sentinel, dtype=np.intp
+            ).reshape(c, h, w)
+            kernel = layer.kernel_size
+            unfold = F.im2col(image, kernel, kernel, layer.stride, 0)
+        else:
+            raise ShapeError(
+                f"cannot apply a matrix compute to {type(layer).__name__}"
+            )
+        rows = layer_weight_matrix(layer).shape[0]
+        if unfold.shape[1] != rows:
+            raise ShapeError(
+                f"input shape {in_shape} unfolds to {unfold.shape[1]} rows, "
+                f"the layer's matrix has {rows}"
+            )
+        if self.groups is None:
+            return np.ascontiguousarray(unfold)
+        padded = np.concatenate(
+            [unfold, np.full((unfold.shape[0], 1), sentinel, np.intp)], axis=1
+        )
+        return np.ascontiguousarray(padded[:, self.groups])
+
+    def gather(
+        self, layer: Layer, x: np.ndarray, scratch: Scratch
+    ) -> np.ndarray:
+        """The float64 row layout of ``x`` in ``scratch``: ``(n·P, K, H)``
+        with groups, else ``(n·P, rows)``."""
+        n = x.shape[0]
+        index = self._index.get(x.shape[1:])
+        if index is None:
+            index = self._index[x.shape[1:]] = self._compile(
+                layer, x.shape[1:]
+            )
+        width = int(np.prod(x.shape[1:]))
+        src = scratch.get("plan_src", (n, width + 1), np.float64)
+        src[:, :width] = x.reshape(n, width)
+        src[:, -1] = 0.0
+        out = scratch.get("plan_rows", (n,) + index.shape, np.float64)
+        # mode="clip" (every index is in range) lets np.take write
+        # straight into ``out``; the default mode buffers it.
+        np.take(src, index, axis=1, out=out, mode="clip")
+        return out.reshape((n * index.shape[0],) + index.shape[1:])

@@ -69,7 +69,12 @@ from repro.core.estimate import (
     SkipStats,
     packed_fire_band,
 )
-from repro.core.matrix_compute import ensure_binary, layer_bias
+from repro.core.matrix_compute import (
+    Scratch,
+    ensure_binary,
+    fold_rows,
+    layer_bias,
+)
 
 __all__ = [
     "PackedBits",
@@ -100,33 +105,6 @@ _SPLIT_TILE = 4096
 
 
 # -- packing -------------------------------------------------------------------
-
-
-class _Scratch:
-    """Reusable per-kernel temporaries, keyed by name.
-
-    Large per-call arrays (unfolded receptive fields, integer
-    accumulators, chunked matmul outputs) otherwise bounce through the
-    allocator's mmap path and re-fault every page on each batch — ~25ms
-    per forward at MNIST batch sizes.  Buffers reallocate when the
-    requested shape or dtype changes (a new batch size) and are NOT
-    thread-safe: a compiled network's computes must run serially, which
-    the inference paths (``forward``/``predict``/``serve`` tiles) do.
-    """
-
-    def __init__(self) -> None:
-        self._bufs: Dict[str, np.ndarray] = {}
-
-    def get(self, key: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        buf = self._bufs.get(key)
-        if (
-            buf is None
-            or buf.shape != tuple(shape)
-            or buf.dtype != np.dtype(dtype)
-        ):
-            buf = np.empty(shape, dtype)
-            self._bufs[key] = buf
-        return buf
 
 
 @dataclass(frozen=True)
@@ -313,7 +291,7 @@ class PackedMatrix:
         self.acc_dtype = (
             np.int16 if self.acc_bound < np.iinfo(np.int16).max else np.int32
         )
-        self._scratch = _Scratch()
+        self._scratch = Scratch()
 
     @staticmethod
     def _contiguous_ranges(
@@ -356,8 +334,9 @@ class PackedMatrix:
     def pack(self, bits_u8: np.ndarray) -> PackedBits:
         """Pack validated ``(n, rows)`` uint8 bits in block order.
 
-        The returned plane lives in this matrix's scratch space: it is
-        overwritten by the next ``pack`` call on the same matrix.
+        The returned plane lives in this matrix's per-thread scratch
+        space: it is overwritten by the next ``pack`` call on the same
+        matrix from the same thread.
         """
         if bits_u8.ndim != 2 or bits_u8.shape[1] != self.rows:
             raise ShapeError(
@@ -401,8 +380,9 @@ class PackedMatrix:
         narrowest safe integer dtype; scaling by ``units`` happens only
         at the consumer (or never, for the integer decision path) —
         ``units[k] * acc[k]`` is Equ. 6's analog sum with the current
-        summation replaced by integer adds.  The accumulator is scratch
-        space, overwritten by the next call on this matrix.
+        summation replaced by integer adds.  The accumulator is
+        per-thread scratch space, overwritten by the next call on this
+        matrix from the same thread.
         """
         codes = packed.codes
         n = codes.shape[0]
@@ -494,7 +474,7 @@ def _apply_packed(
     x: np.ndarray,
     matrix_fn,
     add_bias: bool = True,
-    scratch: Optional[_Scratch] = None,
+    scratch: Optional[Scratch] = None,
 ) -> np.ndarray:
     """im2col/fold plumbing of ``apply_matrix_fn`` on the uint8 path.
 
@@ -534,9 +514,7 @@ def _apply_packed(
         out = matrix_fn(cols)
         if add_bias:
             out += layer_bias(layer)
-        return out.reshape(n, out_h, out_w, layer.out_channels).transpose(
-            0, 3, 1, 2
-        )
+        return fold_rows(layer, x.shape, out)
     raise ShapeError(f"cannot apply a packed compute to {type(layer).__name__}")
 
 
@@ -608,7 +586,7 @@ def packed_unsplit_compute(
         crossbar.logical_rows,
     )
     cells = crossbar.cells_per_weight
-    scratch = _Scratch()
+    scratch = Scratch()
 
     if (
         estimator is not None
@@ -770,7 +748,7 @@ def packed_split_compute(
     cells = split._block_crossbars[0].cells_per_weight
     emit_bits = threshold is not None and 0.0 <= float(threshold) < 1.0
     out_dtype = np.uint8 if emit_bits else np.float64
-    scratch = _Scratch()
+    scratch = Scratch()
 
     if estimator is not None and estimator.enabled:
         gpb = matrix.groups_per_block
@@ -1029,7 +1007,7 @@ def packed_dac_compute(
     code_dtype = np.uint8 if steps <= np.iinfo(np.uint8).max else np.uint16
     merged_per_code = merged / steps
     cols = merged.shape[1]
-    scratch = _Scratch()
+    scratch = Scratch()
 
     int_matrix = None
     out_scale = None
@@ -1178,7 +1156,10 @@ def assemble_packed_network(
     # Local import: repro.core.engines registers this module's builder,
     # so the top-level dependency can only point one way.
     from repro.core.engines import EngineSpec, resolve_engine
-    from repro.core.hardware_network import assemble_sei_network
+    from repro.core.hardware_network import (
+        assemble_sei_network,
+        folded_layers,
+    )
 
     spec = resolve_engine(
         engine,
@@ -1269,11 +1250,7 @@ def assemble_packed_network(
     # Computes that folded the threshold comparison into their kernel
     # emit the exact selection bits themselves; tell the network to skip
     # the (now identity) outer binarize pass for those layers.
-    binarized.prebinarized = frozenset(
-        index
-        for index, compute in binarized.layer_computes.items()
-        if getattr(compute, "prebinarized", False)
-    )
+    binarized.prebinarized = folded_layers(binarized.layer_computes)
 
     return binarized
 

@@ -150,6 +150,7 @@ class SplitMatrix:
                     f"got {bias.shape}"
                 )
             self.block_bias = bias / len(self.blocks)
+        self._has_bias = bool(self.block_bias.any())
 
     @property
     def num_blocks(self) -> int:
@@ -189,16 +190,22 @@ class SplitMatrix:
         """The ``(K, H, cols)`` padded matrices the batched MVM multiplies."""
         return self._padded_weights
 
-    def _sums_from_gathered(self, gathered: np.ndarray) -> np.ndarray:
+    def _sums_from_gathered(
+        self, gathered: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Block sums of a gathered ``(n, K, H)`` layout, into ``out``
+        (a fresh ``(n, K, cols)`` array when not given)."""
         matrices = self._block_matrices()
-        sums = np.empty(
+        sums = out if out is not None else np.empty(
             (gathered.shape[0], gathered.shape[1], matrices.shape[2])
         )
         # K is small; each term is a single dgemm on a strided view of
         # the gathered layout, which BLAS consumes without copying.
         for k in range(gathered.shape[1]):
             np.matmul(gathered[:, k, :], matrices[k], out=sums[:, k, :])
-        return sums + self.block_bias
+        if self._has_bias:
+            sums += self.block_bias
+        return sums
 
     def block_sums(self, bits: np.ndarray) -> np.ndarray:
         """Per-block partial MVMs: shape ``(n, K, cols)``.

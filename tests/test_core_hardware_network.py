@@ -112,6 +112,135 @@ class TestAssembleSEI:
         )
 
 
+def _metrics_dict(metrics) -> dict:
+    exported = metrics.as_dict()
+    return {
+        kind: {
+            name: value
+            for name, value in exported.get(kind, {}).items()
+            if name.startswith("hw/")
+        }
+        for kind in ("counters", "gauges", "histograms")
+    }
+
+
+def _conv_split_case(rng, padding, stride, ragged, n):
+    """A Conv2D layer, its HardwareSplitMatrix and a 0/1 input batch."""
+    from repro.core.homogenize import Partition
+    from repro.nn.layers import Conv2D
+
+    layer = Conv2D(3, 5, 3, stride=stride, padding=padding, rng=rng)
+    rows = layer.weight_matrix.shape[0]  # 27
+    blocks = 4 if ragged else 3
+    partition = Partition(order=rng.permutation(rows), num_blocks=blocks)
+    split = HardwareSplitMatrix(
+        layer.weight_matrix,
+        partition,
+        SplitDecision(
+            block_threshold=0.02, ones_slope=0.01, vote_threshold=2
+        ),
+        HardwareConfig(max_crossbar_size=40),
+        bias=rng.normal(size=5) * 0.1,
+    )
+    x = (rng.random((n, 3, 9, 9)) < 0.3).astype(float)
+    return layer, split, x
+
+
+class TestRowPlan:
+    """The compiled row plan against im2col + SplitMatrix._gathered."""
+
+    @pytest.mark.parametrize("n", [1, 4, 17])
+    @pytest.mark.parametrize("ragged", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_conv_layout_and_split_output(
+        self, rng, padding, stride, ragged, n
+    ):
+        from repro import obs
+        from repro.core.hardware_network import _record_mvms, _split_compute
+        from repro.core.matrix_compute import RowPlan, Scratch, apply_matrix_fn
+        from repro.nn import functional as F
+
+        layer, split, x = _conv_split_case(rng, padding, stride, ragged, n)
+        assert split._needs_sentinel == ragged
+        bits = F.im2col(x, 3, 3, stride, padding)
+        rows = RowPlan(split._gather).gather(layer, x, Scratch())
+        np.testing.assert_array_equal(rows, split._gathered(bits))
+
+        compute = _split_compute(split, obs_index=3, threshold=0.5)
+        assert compute.prebinarized
+        with obs.recording() as rec:
+            out = compute(layer, x)
+        with obs.recording() as expected_rec:
+            _record_mvms(
+                3, bits, split.cols, blocks=split.num_blocks,
+                cells_per_weight=split._block_crossbars[0].cells_per_weight,
+            )
+        assert _metrics_dict(rec.metrics) == _metrics_dict(
+            expected_rec.metrics
+        )
+        expected = apply_matrix_fn(layer, x, split.fire, add_bias=False)
+        assert out.flags["C_CONTIGUOUS"] and out.dtype == np.float64
+        np.testing.assert_array_equal(out, expected)
+        fired = split.fire(bits)
+        np.testing.assert_array_equal(
+            out.transpose(0, 2, 3, 1).reshape(fired.shape), fired
+        )
+
+    @pytest.mark.parametrize("n", [1, 4, 17])
+    def test_dense_split_layer(self, rng, n):
+        from repro.core.hardware_network import _split_compute
+        from repro.core.matrix_compute import RowPlan, Scratch
+        from repro.nn.layers import Dense
+
+        layer = Dense(50, 6, rng=rng)
+        split = HardwareSplitMatrix(
+            layer.weight_matrix,
+            natural_partition(50, 3),  # ragged: 17/17/16
+            SplitDecision(block_threshold=0.01, vote_threshold=2),
+            HardwareConfig(max_crossbar_size=80),
+        )
+        x = (rng.random((n, 50)) < 0.3).astype(float)
+        rows = RowPlan(split._gather).gather(layer, x, Scratch())
+        np.testing.assert_array_equal(rows, split._gathered(x))
+        out = _split_compute(split, threshold=0.5)(layer, x)
+        np.testing.assert_array_equal(out, split.fire(x))
+
+    @pytest.mark.parametrize("n", [1, 4, 17])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_dac_layer(self, rng, padding, stride, n):
+        from repro import obs
+        from repro.core.hardware_network import (
+            _record_dac,
+            dac_analog_layer_compute,
+        )
+        from repro.core.matrix_compute import apply_matrix_fn
+        from repro.nn import functional as F
+        from repro.nn.layers import Conv2D
+
+        layer = Conv2D(2, 4, 3, stride=stride, padding=padding, rng=rng)
+        compute = dac_analog_layer_compute(
+            layer, rng=np.random.default_rng(1), obs_index=0
+        )
+        x = rng.random((n, 2, 9, 9))
+        with obs.recording() as rec:
+            out = compute(layer, x)
+        driven = compute.dac.quantize(np.clip(x, 0.0, 1.0))
+        with obs.recording() as expected_rec:
+            _record_dac(
+                0, F.im2col(driven, 3, 3, stride, padding), 4,
+                compute.cells_per_weight,
+            )
+        assert _metrics_dict(rec.metrics) == _metrics_dict(
+            expected_rec.metrics
+        )
+        expected = apply_matrix_fn(
+            layer, driven, lambda rows: rows @ compute.merged
+        )
+        np.testing.assert_array_equal(out, expected)
+
+
 class TestAssembleADC:
     def test_full_precision_matches_float_predictions(
         self, trained_tiny_network, tiny_dataset

@@ -242,7 +242,12 @@ class TestAssembledEngine:
         # with it the folded threshold comparison) must stay engaged.
         assert packed.prebinarized
         assert packed.prebinarized <= set(tiny_quantized.thresholds)
-        assert not fused.prebinarized
+        # The fused engine folds only its §4.3 block-vote layers.
+        assert fused.prebinarized == {
+            index
+            for index, info in fused.hardware_layers.items()
+            if info["kind"] == "split"
+        }
 
     def test_program_noise_falls_back_to_fused_exactly(
         self, tiny_quantized, tiny_dataset

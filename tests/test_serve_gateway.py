@@ -544,20 +544,51 @@ class TestGatewayBitIdentity:
     """Gateway responses == a single inline InferenceSession, byte for
     byte — any shard count, any coalescing, concurrent tenants."""
 
-    @pytest.mark.parametrize("shards", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "shards, engine",
+        [
+            pytest.param(1, None, id="1"),
+            pytest.param(2, None, id="2"),
+            pytest.param(3, None, id="3"),
+            # Shards share one stateless session, so every compiled
+            # layer's scratch buffers must be per thread; 128-row
+            # crossbars split layer 3 into four voting blocks.
+            pytest.param(2, "fused", id="fused-split-2"),
+            pytest.param(2, "packed", id="packed-split-2"),
+        ],
+    )
     def test_matches_inline_session(
-        self, tiny_session, tiny_dataset, shards
+        self, tiny_session, tiny_quantized, tiny_dataset, shards, engine
     ):
+        session = tiny_session
         images = tiny_dataset["test_x"][:24]
-        inline = tiny_session.infer_batch(images)
+        if engine is not None:
+            from repro.core.engines import EngineSpec
+            from repro.core.hardware_network import HardwareConfig
+
+            session = InferenceSession.from_artifacts(
+                tiny_quantized.network,
+                tiny_quantized.thresholds,
+                SessionConfig(
+                    network="tiny",
+                    tile=4,
+                    engine=EngineSpec(
+                        name=engine,
+                        hardware=HardwareConfig(max_crossbar_size=128),
+                    ),
+                ),
+            )
+            assert session.hardware.hardware_layers[3]["kind"] == "split"
+            images = tiny_dataset["test_x"]
+        inline = session.infer_batch(images)
         config = GatewayConfig(
             shards=shards,
             batcher=BatcherConfig(
                 max_batch_size=5, max_delay_ms=2.0, workers=2,
-                max_queue_depth=64,
+                max_queue_depth=256,
             ),
         )
-        with AsyncGateway({"default": lambda: tiny_session}, config=config) as gw:
+        with AsyncGateway({"default": lambda: session}, config=config) as gw:
             futures = [gw.submit(x) for x in images]
             outputs = np.stack([f.result(timeout=30) for f in futures])
         assert outputs.dtype == inline.dtype

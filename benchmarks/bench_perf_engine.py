@@ -29,14 +29,14 @@ in ``BENCH_perf_engine.json`` at the repo root:
   against both the fused and reference engines before timing.
   Targets: >= 7.0x vs reference, >= 1.1x vs fused.
 * **Activation-estimation (predict-and-skip) on the upper layers** —
-  network1's split upper layer on the fused engine with
+  network1's split upper layer with
   :class:`repro.core.estimate.EstimatorPolicy` enabled in ``exact``
-  mode, natural partition.  Two supported schedules are locked: the
-  deferred-block vote schedule (``chunk_rows >= block rows``) for
-  wall-clock — positions whose §4.3 vote settles early skip the
-  remaining block matmuls entirely — and the float32-head checkpoint
-  schedule for energy — columns proven decided at the head checkpoint
-  let decided positions skip the tail row drive.  Both are asserted
+  mode, natural partition.  The fused engine's deferred-block vote
+  schedule is timed against estimator-off — positions whose §4.3 vote
+  settles early skip the remaining block matmuls entirely.  The skip
+  and energy figures come from the packed engine, whose exact integer
+  suffix bounds retire columns mid-block, so decided positions stop
+  driving the remaining rows of every block.  Both are asserted
   bit-identical to estimator-off before timing.  Targets: >= 0.8x
   upper-layer wall-clock, >= 30% of row slots skipped, and a reduced
   SEI dynamic-energy estimate on the estimated layer (>= 50% saving).
@@ -327,44 +327,47 @@ def bench_packed_inference(dataset, quick: bool) -> dict:
 
 
 def bench_estimate(dataset, quick: bool) -> dict:
-    """Predict-and-skip on network1's split upper layer, fused engine.
+    """Predict-and-skip on network1's split upper layer.
 
-    Times the deferred-block vote schedule against estimator-off on the
-    upper layer alone (the lower conv layer is DAC-coded and not
+    Times the fused deferred-block vote schedule against estimator-off
+    on the upper layer alone (the lower conv layer is DAC-coded and not
     estimable, so whole-network wall-clock would only dilute the ratio),
-    then runs traced passes with the checkpoint schedule to lock the
-    skipped row-slot fraction and the SEI dynamic-energy saving.
+    then runs traced passes with the packed engine's exact integer
+    bounds to lock the skipped row-slot fraction and the SEI
+    dynamic-energy saving.
     """
     samples = 64 if quick else 256
     repeats = 2 if quick else 6
     images = dataset.test.images[:samples]
     qm = get_quantized(ESTIMATE_NETWORK, dataset=dataset)
     # Noise-free natural partition: the regime where ``exact`` mode is
-    # provably bit-identical.  Both schedules and the off path take
-    # their rows from the layer's compiled row plan.
+    # provably bit-identical, and where every crossbar sits on the
+    # integer grid, so every packed layer runs its integer kernel.
     config = HardwareConfig(
         device=RRAMDevice(bits=4, program_sigma=0.0, read_sigma=0.0),
         partition_method="natural",
     )
 
-    def build(policy: EstimatorPolicy):
+    def build(engine: str, policy: EstimatorPolicy):
         return compile_network(
             qm.search.network,
             qm.search.thresholds,
-            EngineSpec(name="fused", hardware=config, estimator=policy),
+            EngineSpec(name=engine, hardware=config, estimator=policy),
         )
 
-    off_net = build(EstimatorPolicy(mode="off"))
-    # chunk_rows >= the largest block -> deferred-block vote schedule.
-    skip_net = build(EstimatorPolicy(mode="exact", chunk_rows=128, group_check=1))
-    # head < block rows -> float32 checkpoint inside each block.
-    ckpt_net = build(EstimatorPolicy(mode="exact", chunk_rows=16, group_check=4))
+    off, exact = EstimatorPolicy(mode="off"), EstimatorPolicy(mode="exact")
+    off_net = build("fused", off)
+    skip_net = build("fused", exact)
+    packed_off_net = build("packed", off)
+    packed_net = build("packed", exact)
 
-    off_logits = off_net.predict(images)
-    for name, net in (("block-skip", skip_net), ("checkpoint", ckpt_net)):
-        if not np.array_equal(off_logits, net.predict(images)):
+    for name, reference, net in (
+        ("fused", off_net, skip_net),
+        ("packed", packed_off_net, packed_net),
+    ):
+        if not np.array_equal(reference.predict(images), net.predict(images)):
             raise AssertionError(
-                f"estimator ({name}) and estimator-off logits differ"
+                f"{name} estimator and estimator-off logits differ"
             )
 
     bits = off_net.collect_binary_activations(images)[ESTIMATE_LAYER]
@@ -381,11 +384,11 @@ def bench_estimate(dataset, quick: bool) -> dict:
     skip_timing = timings["estimate-skip"]
     ratio = speedup(off_timing, skip_timing)
 
-    # Traced passes after the timings: estimator-off sets the dynamic
-    # energy baseline, the checkpoint schedule provides the skip
-    # counters (it retires columns mid-block, so decided positions stop
-    # driving the tail rows of every block, not just whole later
-    # blocks).
+    # Traced passes after the timings on the packed engine: estimator-off
+    # sets the dynamic energy baseline, the exact integer bounds provide
+    # the skip counters (they retire columns mid-block, so decided
+    # positions stop driving the remaining rows of every block, not just
+    # whole later blocks).
     trace_batch = images[: min(64, samples)]
 
     def trace(net):
@@ -394,19 +397,19 @@ def bench_estimate(dataset, quick: bool) -> dict:
         exported = rec.metrics.as_dict()
         return exported, obs.power.estimate_from_metrics(rec.metrics)
 
-    off_metrics, off_power = trace(off_net)
-    ckpt_metrics, ckpt_power = trace(ckpt_net)
+    _, off_power = trace(packed_off_net)
+    est_metrics, est_power = trace(packed_net)
     layer_key = str(ESTIMATE_LAYER)
     prefix = f"hw/layer{ESTIMATE_LAYER}/"
-    positions = float(ckpt_metrics["counters"][prefix + "positions"])
-    rows = float(ckpt_metrics["gauges"][prefix + "rows"])
-    skipped_slots = float(ckpt_metrics["counters"].get(prefix + "skipped_slots", 0))
+    positions = float(est_metrics["counters"][prefix + "positions"])
+    rows = float(est_metrics["gauges"][prefix + "rows"])
+    skipped_slots = float(est_metrics["counters"].get(prefix + "skipped_slots", 0))
     # "Row work" = row slots the MVM would stream without the estimator:
     # every (position, row) pair of the estimated layer.
     skip_fraction = skipped_slots / (positions * rows)
     off_layer = off_power["layers"][layer_key]
-    ckpt_layer = ckpt_power["layers"][layer_key]
-    energy_savings = 1.0 - ckpt_layer["dynamic_pj"] / off_layer["dynamic_pj"]
+    est_layer = est_power["layers"][layer_key]
+    energy_savings = 1.0 - est_layer["dynamic_pj"] / off_layer["dynamic_pj"]
 
     return {
         "network": ESTIMATE_NETWORK,
@@ -422,29 +425,29 @@ def bench_estimate(dataset, quick: bool) -> dict:
             "speedup": ratio,
             "target": ESTIMATE_SPEEDUP_TARGET,
             "target_met": ratio >= ESTIMATE_SPEEDUP_TARGET,
-            "policy": {"mode": "exact", "chunk_rows": 128, "group_check": 1},
+            "policy": {"engine": "fused", "mode": "exact"},
         },
         "skip_counters": {
             "trace_samples": int(len(trace_batch)),
-            "policy": {"mode": "exact", "chunk_rows": 16, "group_check": 4},
+            "policy": {"engine": "packed", "mode": "exact"},
             "row_slots": int(positions * rows),
             "skipped_slots": int(skipped_slots),
             "skip_fraction": skip_fraction,
             "target": ESTIMATE_SKIP_TARGET,
             "target_met": skip_fraction >= ESTIMATE_SKIP_TARGET,
-            "estimator_hit_rate": ckpt_layer["estimator_hit_rate"],
-            "active_rows": ckpt_layer["active_rows"],
-            "skipped_rows": ckpt_layer["skipped_rows"],
-            "selected_rows": ckpt_layer["selected_rows"],
+            "estimator_hit_rate": est_layer["estimator_hit_rate"],
+            "active_rows": est_layer["active_rows"],
+            "skipped_rows": est_layer["skipped_rows"],
+            "selected_rows": est_layer["selected_rows"],
         },
         "energy": {
             "off_dynamic_pj": off_layer["dynamic_pj"],
-            "estimate_dynamic_pj": ckpt_layer["dynamic_pj"],
+            "estimate_dynamic_pj": est_layer["dynamic_pj"],
             "energy_savings": energy_savings,
             "target": ESTIMATE_ENERGY_TARGET,
             "target_met": energy_savings >= ESTIMATE_ENERGY_TARGET,
             "off_total_dynamic_pj": off_power["total"]["dynamic_pj"],
-            "estimate_total_dynamic_pj": ckpt_power["total"]["dynamic_pj"],
+            "estimate_total_dynamic_pj": est_power["total"]["dynamic_pj"],
         },
     }
 

@@ -7,7 +7,6 @@ from repro.analysis.distribution import (
 )
 from repro.analysis.metrics import error_rate_pct, relative_change_pct, summarize_range
 from repro.analysis.perf import Timing, speedup, time_call, time_interleaved
-from repro.analysis.sweeps import design_space_sweep, pareto_front
 from repro.analysis.stats import (
     McNemarResult,
     mcnemar_test,
@@ -34,8 +33,6 @@ __all__ = [
     "McNemarResult",
     "mcnemar_test",
     "paired_disagreement",
-    "design_space_sweep",
-    "pareto_front",
     "Timing",
     "time_call",
     "time_interleaved",

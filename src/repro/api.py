@@ -15,9 +15,10 @@ are the supported surface: internals
 (``repro.core``, ``repro.zoo``, ...) stay importable but may reshuffle
 between releases; this module will not.
 
-All verbs accept an :class:`~repro.core.engines.EngineSpec` for the
-backend selection; plain engine-name strings still work but emit a
-:class:`DeprecationWarning` (see :func:`repro.core.engines.resolve_engine`).
+All verbs take an :class:`~repro.core.engines.EngineSpec` (or ``None``
+for the default fused engine) for the backend selection; a plain
+engine-name string is rejected (see
+:func:`repro.core.engines.resolve_engine`).
 
 The device side is declarative too: pass a
 :class:`~repro.hw.array.DeviceSpec` via ``device=`` to compile/infer/
@@ -140,7 +141,7 @@ def _apply_device(
 
 def _session_config(
     network: str,
-    engine: Union[EngineSpec, str, None],
+    engine: Optional[EngineSpec],
     tile: int,
     calibrate_splits: bool,
     search: Optional[SearchConfig],
@@ -166,7 +167,7 @@ def compile(  # noqa: A001 - deliberate verb name on the facade
     network: Union[str, Sequential] = "network2",
     thresholds: Optional[Dict[int, float]] = None,
     *,
-    engine: Union[EngineSpec, str, None] = None,
+    engine: Optional[EngineSpec] = None,
     tile: int = 16,
     calibrate_splits: bool = False,
     search: Optional[SearchConfig] = None,
@@ -241,7 +242,7 @@ def infer(
     x: np.ndarray,
     network: str = "network2",
     *,
-    engine: Union[EngineSpec, str, None] = None,
+    engine: Optional[EngineSpec] = None,
     tile: int = 16,
     cache_dir: Optional[Path] = None,
     device: Optional[DeviceSpec] = None,
@@ -261,7 +262,7 @@ def infer(
 def serve(
     network: str = "network2",
     *,
-    engine: Union[EngineSpec, str, None] = None,
+    engine: Optional[EngineSpec] = None,
     tile: int = 16,
     cache_dir: Optional[Path] = None,
     device: Optional[DeviceSpec] = None,
@@ -308,7 +309,7 @@ def gateway(
     *,
     shards: Optional[int] = None,
     config: Optional[GatewayConfig] = None,
-    engine: Union[EngineSpec, str, None] = None,
+    engine: Optional[EngineSpec] = None,
     tile: int = 16,
     cache_dir: Optional[Path] = None,
     device: Optional[DeviceSpec] = None,

@@ -219,14 +219,16 @@ def build_parser() -> argparse.ArgumentParser:
             default="off",
             help="runtime activation estimator: skip MVM row work once "
             "column outputs are decided ('exact' is bit-identical, "
-            "'threshold' trades accuracy via --confidence)",
+            "'threshold' trades accuracy via --confidence and needs "
+            "--engine packed)",
         )
         p.add_argument(
             "--confidence",
             type=float,
             default=1.0,
-            help="threshold-estimator confidence knob in (0, 1]; 1.0 "
-            "keeps the full bound, smaller skips more aggressively",
+            help="threshold-estimator confidence knob in (0, 1] "
+            "(packed engine only); 1.0 keeps the full bound, smaller "
+            "skips more aggressively",
         )
 
     infer = sub.add_parser(

@@ -20,16 +20,14 @@ altogether.  This module consolidates all of that into one value:
   out.  ``repro.serve`` sessions, the CLI and the benchmarks all go
   through here.
 
-The old keyword forms still work but are deprecated:
-``assemble_sei_network(..., engine='reference')`` (a bare string) emits
-a :class:`DeprecationWarning` pointing at :class:`EngineSpec`.
+A bare engine string (``engine='reference'``) is rejected with a
+:class:`~repro.errors.ConfigurationError` naming :class:`EngineSpec`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,8 +83,9 @@ class EngineSpec:
         default; ``exact`` lets the fused / packed engines skip row work
         once every output bit is provably decided (bit-identical to
         ``off``); ``threshold`` trades bounded output disagreement for
-        earlier skipping (CompRRAE-style).  Rejected by the ``adc`` and
-        ``reference`` engines, which stay estimator-free baselines.
+        earlier skipping (CompRRAE-style, ``packed`` only).  Rejected by
+        the ``adc`` and ``reference`` engines, which stay estimator-free
+        baselines.
     """
 
     name: str = "fused"
@@ -171,19 +170,17 @@ def engine_builder(name: str) -> EngineBuilder:
 
 
 def resolve_engine(
-    engine: Union[EngineSpec, str, None],
+    engine: Optional[EngineSpec],
     hardware: Optional[HardwareConfig] = None,
     allowed: Optional[Sequence[str]] = None,
     caller: str = "this function",
-    stacklevel: int = 3,
 ) -> EngineSpec:
-    """Normalise the deprecated string/kwarg engine forms to an EngineSpec.
+    """Normalise an engine argument to an :class:`EngineSpec`.
 
-    ``engine=None`` (the modern default) resolves to the default fused
-    spec with ``hardware`` folded in.  A bare string is the legacy form:
-    it still works, but emits a :class:`DeprecationWarning`.  Passing an
-    :class:`EngineSpec` alongside a separate ``hardware`` config is
-    ambiguous and rejected.
+    ``engine=None`` resolves to the default fused spec with ``hardware``
+    folded in.  Passing an :class:`EngineSpec` alongside a separate
+    ``hardware`` config is ambiguous and rejected, as is anything else
+    (a bare engine-name string included).
     """
     if isinstance(engine, EngineSpec):
         if hardware is not None:
@@ -197,21 +194,15 @@ def resolve_engine(
             hardware=hardware if hardware is not None else HardwareConfig()
         )
     elif isinstance(engine, str):
-        warnings.warn(
-            f"passing engine={engine!r} as a string to {caller} is "
-            "deprecated; pass repro.core.EngineSpec(name="
-            f"{engine!r}, hardware=...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        spec = EngineSpec(
-            name=engine,
-            hardware=hardware if hardware is not None else HardwareConfig(),
+        raise ConfigurationError(
+            f"{caller} takes an EngineSpec, not the engine name "
+            f"{engine!r}; pass repro.core.EngineSpec(name={engine!r}, "
+            "hardware=...)"
         )
     else:
         raise ConfigurationError(
-            f"engine must be an EngineSpec, a registered engine name or "
-            f"None, got {type(engine).__name__}"
+            f"engine must be an EngineSpec or None, got "
+            f"{type(engine).__name__}"
         )
     if allowed is not None and spec.name not in allowed:
         raise ConfigurationError(
@@ -224,7 +215,7 @@ def resolve_engine(
 def compile_network(
     network: Sequential,
     thresholds: Dict[int, float],
-    spec: Union[EngineSpec, str, None] = None,
+    spec: Optional[EngineSpec] = None,
     *,
     decisions: Optional[Dict[int, SplitDecision]] = None,
     partitions: Optional[Dict[int, Partition]] = None,
@@ -240,8 +231,6 @@ def compile_network(
         (e.g. ``model.search.network`` / ``model.search.thresholds``).
     spec:
         Engine selection; ``None`` means the default fused SEI engine.
-        A bare string is accepted for backward compatibility (with a
-        :class:`DeprecationWarning`).
     decisions, partitions:
         Optional calibrated §4.3 split decisions / row partitions per
         layer index (from :func:`repro.core.pipeline.build_split_network`).

@@ -6,27 +6,20 @@ activity in the upper layers, BENCH_perf_engine.json) say most of the
 *remaining* work still computes column currents whose sense-amp output
 bit is a foregone conclusion.  CompRRAE (Chen et al., arXiv 1906.03180)
 cuts RRAM CNN computation by estimating output activity at runtime and
-stopping early; this module is that idea adapted to both of our engines:
+stopping early; this module holds the policy and the bound tables that
+adapt the idea to both SEI engines:
 
-* **fused engine** — a two-stage schedule.  The *head* (the
-  ``chunk_rows * group_check`` hottest rows — largest-magnitude first,
-  then re-ordered by measured input activity once calibrated) is
-  accumulated for the whole batch in float32; at the head boundary each
-  column carries a padded interval ``[acc + lo, acc + hi]`` that
-  provably contains the final analog sum under every rounding of the
-  single-precision stage.  ``lo``/``hi`` come from *k-conditioned*
-  suffix tables: the least/greatest possible contribution of the tail
-  rows given how many of them are actually active (known cheaply from
-  the selection bits; a position whose active rows are exhausted gets
-  the degenerate ``[0, 0]`` interval — its accumulator is already
-  final).  Positions whose every column clears its threshold retire
-  there, and their tail rows are never multiplied; only the survivors
-  recompute their full row sum in exact float64, so the emitted bits
-  never depend on the float32 arithmetic.
-* **packed engine** — the same suffix tables in the integer domain of
-  :mod:`repro.core.packed`: min/max partial-sum companion tables per
-  8-row byte group, gathered on the same per-group path as the partial
-  sums themselves, conditioned on the remaining popcount.
+* **packed engine** — k-conditioned suffix bounds in the integer domain
+  of :mod:`repro.core.packed`: min/max partial-sum companion tables per
+  8-row byte group (:class:`PackedSuffixBounds`), gathered on the same
+  per-group path as the partial sums themselves and conditioned on the
+  remaining popcount, so a column retires mid-block once its firing bit
+  is provable.
+* **fused engine** — the deferred-block vote schedule on split layers
+  (in :mod:`repro.core.hardware_network`): blocks run in order on the
+  layer's planned operands, and a position whose §4.3 vote is settled
+  (enough blocks fired, or the vote is out of reach) never drives its
+  remaining block crossbars.  Every other fused layer runs the off path.
 
 Safety argument for ``mode='exact'`` (the bit-identity guarantee):
 
@@ -34,28 +27,21 @@ Safety argument for ``mode='exact'`` (the bit-identity guarantee):
   thresholds are all exact integers, so ``acc + lo >= F`` /
   ``acc + hi < F`` are theorems about the final accumulator — an early
   decision *is* the final decision.  (The unsplit packed layer, whose
-  off-mode comparison happens in float64, uses a widened integer band
-  and replays the off-mode float arithmetic for the handful of
-  accumulators that land inside it.)
-* On the fused engine the sums are float64 and chunked accumulation
-  re-associates them, so every comparison carries a rigorous rounding
-  margin: any floating-point evaluation order of an n-term sum is within
-  ``~n * eps * sum|terms|`` of the exact value, and the margin used here
-  is :data:`_MARGIN_SLACK` times that envelope (plus the threshold /
-  bias magnitudes, covering the comparison's own roundings).  A column
-  is decided only when *every* rounding realisation of the off-mode
-  arithmetic would agree; positions still ambiguous after the last chunk
-  (exact-representable near-threshold collisions — measure-zero in
-  practice) are recomputed by the caller through the unmodified off-mode
-  path, so the emitted bits are identical to ``mode='off'`` by
-  construction.
+  off-mode comparison happens in float64, uses a widened integer band,
+  :func:`packed_fire_band`, and replays the off-mode float arithmetic
+  for the handful of accumulators that land inside it.)
+* On the fused engine every computed block sum is the off path's own
+  dgemm on the same operands; skipping a block whose vote outcome is
+  already fixed cannot change the vote, so the emitted bits equal
+  ``mode='off'`` by construction.
 
-``mode='threshold'`` is the CompRRAE-style probabilistic variant: the
-bounds are scaled by a ``confidence`` knob in ``(0, 1]`` (margins
-dropped), trading bounded, statistically monotone output disagreement
-for earlier retirement.  See ``docs/engines.md`` for the bound
-derivations and `repro.testing.faults.estimator_confidence_sweep` for
-the degradation campaign.
+``mode='threshold'`` is the CompRRAE-style probabilistic variant of the
+packed bounds: the tables are scaled by a ``confidence`` knob in
+``(0, 1]``, trading bounded, statistically monotone output disagreement
+for earlier retirement.  It is packed-only; the fused engine rejects it
+at compile time.  See ``docs/engines.md`` for the bound derivations and
+:func:`repro.testing.faults.estimator_confidence_sweep` for the
+degradation campaign.
 
 This module is deliberately dependency-light (numpy + errors only): the
 engines import it, never the other way around.
@@ -64,7 +50,7 @@ engines import it, never the other way around.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -73,30 +59,9 @@ from repro.errors import ConfigurationError
 __all__ = [
     "EstimatorPolicy",
     "SkipStats",
-    "ColumnEstimator",
     "PackedSuffixBounds",
     "packed_fire_band",
 ]
-
-_EPS = float(np.finfo(np.float64).eps)
-
-#: Safety factor on the exact mode's rounding envelope.  The rigorous
-#: bound on |any-order float64 sum - exact sum| is ~n*eps*sum|terms|;
-#: 64x that is still ~1e-10 for the paper's layers — far below the
-#: typical distance of an activation to its threshold — and absorbs the
-#: threshold subtraction, the bias fold and the comparison roundings.
-_MARGIN_SLACK = 64.0
-
-_EPS32 = float(np.finfo(np.float32).eps)
-
-#: Safety factor on the checkpoint's single-precision rounding pad.
-#: The checkpoint comparison chain runs in float32 (half the memory
-#: traffic of the batch-wide interval check); every quantity in it is
-#: bounded by the compiled magnitude bound, so ~6 roundings are
-#: enveloped with a 16x factor.  The pad only makes the early decision
-#: more conservative — anything inside it falls through to the exact
-#: float64 finish.
-_F32_SLACK = 16.0
 
 _MODES = ("off", "exact", "threshold")
 
@@ -109,9 +74,9 @@ class EstimatorPolicy:
     ----------
     mode:
         ``'off'`` (default; engines run their unmodified paths),
-        ``'exact'`` (guaranteed-safe interval bounds: emitted bits are
+        ``'exact'`` (provable early decisions: emitted bits are
         bit-identical to ``'off'``) or ``'threshold'`` (CompRRAE-style
-        probabilistic early decision).
+        probabilistic early decision; packed engine only).
     confidence:
         Bound scaling for ``'threshold'`` mode, in ``(0, 1]``.  1.0
         keeps the full interval (no margin, so near-threshold positions
@@ -119,27 +84,14 @@ class EstimatorPolicy:
         earlier at the cost of more output disagreement.  Ignored by
         ``'exact'``.
     chunk_rows:
-        Fused engine: rows per head chunk.  The head —
-        ``chunk_rows * group_check`` hottest rows — is accumulated
-        before the early-decision checkpoint; everything beyond it is
-        the skippable tail.
+        Has no effect; validated (``>= 1``) and kept only so existing
+        policy constructions stay valid.
     group_check:
-        Decision-check cadence.  The fused engine places its interval
-        checkpoint after ``group_check`` head chunks; the packed engine
-        checks every ``group_check`` 8-row byte groups.
+        Packed engine: a decision check runs every ``group_check``
+        8-row byte groups.
     max_k:
         Depth of the k-conditioned suffix tables; remaining-active
         counts above it fall back to the unconditioned suffix bound.
-    calibrate_positions:
-        Fused engine, ``'exact'`` mode only: after this many observed
-        positions the estimator re-orders its rows by *measured* input
-        activity (hottest word lines first) and rebuilds its bound
-        tables, so sparse positions exhaust their active rows — and
-        retire — as early as possible.  Sound for any ordering, so the
-        emitted bits stay bit-identical; ``'threshold'`` mode never
-        recalibrates (its output depends on the ordering, and a
-        data-dependent permutation would break batch invariance).
-        0 disables calibration.
     """
 
     mode: str = "off"
@@ -147,7 +99,6 @@ class EstimatorPolicy:
     chunk_rows: int = 32
     group_check: int = 2
     max_k: int = 32
-    calibrate_positions: int = 64
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -163,11 +114,6 @@ class EstimatorPolicy:
         if self.chunk_rows < 1 or self.group_check < 1 or self.max_k < 1:
             raise ConfigurationError(
                 "chunk_rows, group_check and max_k must all be >= 1"
-            )
-        if self.calibrate_positions < 0:
-            raise ConfigurationError(
-                f"calibrate_positions must be >= 0 (0 disables), got "
-                f"{self.calibrate_positions}"
             )
 
     @property
@@ -198,12 +144,6 @@ class SkipStats:
     est_positions: int = 0
     est_decided: int = 0
 
-    def merge(self, other: "SkipStats") -> None:
-        self.skipped_rows += other.skipped_rows
-        self.skipped_slots += other.skipped_slots
-        self.est_positions += other.est_positions
-        self.est_decided += other.est_decided
-
 
 def _suffix_bound_table(parts: np.ndarray, cap: int) -> np.ndarray:
     """Cumulative extreme-first sums: row ``k`` bounds any k-row subset.
@@ -214,7 +154,7 @@ def _suffix_bound_table(parts: np.ndarray, cap: int) -> np.ndarray:
     magnitude entries per column — the extreme possible contribution of
     exactly ``k`` active remaining rows; rows beyond the table depth
     hold the full column sum, a sound (unconditioned) bound for any
-    larger count.  Dtype follows ``parts`` (float64 fused, int64 packed).
+    larger count.  Dtype follows ``parts`` (int64 for the packed engine).
     """
     cols = parts.shape[1]
     table = np.zeros((cap + 1, cols), dtype=parts.dtype)
@@ -231,302 +171,6 @@ def _suffix_bound_table(parts: np.ndarray, cap: int) -> np.ndarray:
         table[1 : depth + 1] = csum[:depth]
     table[depth + 1 :] = csum[size - 1]
     return table
-
-
-class ColumnEstimator:
-    """Two-stage interval-bound early decision for one fused matrix.
-
-    Compiled once per (static) crossbar: rows are permuted so the
-    hottest ones accumulate first (largest-magnitude before calibration,
-    measured-activity after), and the head boundary — after
-    ``policy.chunk_rows * policy.group_check`` rows — gets k-conditioned
-    suffix bound tables plus a rigorous per-column rounding margin
-    (exact mode).
-
-    :meth:`decide` accumulates the head for the whole batch, runs one
-    interval checkpoint there (retiring every position whose columns
-    are all certified — their tail rows are never multiplied), then
-    finishes only the survivors through the tail and reports the
-    skipped work.
-    """
-
-    def __init__(
-        self,
-        weights: np.ndarray,
-        policy: EstimatorPolicy,
-        bias: Optional[np.ndarray] = None,
-        row_index: Optional[np.ndarray] = None,
-    ) -> None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 2:
-            raise ConfigurationError(
-                f"estimator weights must be 2D, got {weights.shape}"
-            )
-        self.rows, self.cols = weights.shape
-        self.policy = policy
-        self._weights = weights
-        # Per-column constant folded into the accumulator before every
-        # comparison (the engines' bias): keeping it inside the
-        # estimator lets callers pass cheap low-rank thresholds instead
-        # of materialising a full (n, cols) threshold plane.
-        self._bias = (
-            None if bias is None else np.asarray(bias, dtype=np.float64)
-        )
-        # Scatter-partitioned split blocks: ``row_index`` maps this
-        # crossbar's local rows to columns of the caller's *full* bit
-        # matrix, so :meth:`decide` gathers straight from it — the
-        # caller never materialises a per-block sub-matrix.
-        if row_index is not None:
-            row_index = np.asarray(row_index, dtype=np.intp)
-            if row_index.shape != (self.rows,):
-                raise ConfigurationError(
-                    f"row_index must have one entry per weight row "
-                    f"({self.rows}), got {row_index.shape}"
-                )
-        self._row_index = row_index
-        # Until calibration: largest rows first, so the k-conditioned
-        # suffix intervals tighten fast even on dense inputs.
-        self._build(np.argsort(-np.abs(weights).max(axis=1), kind="stable"))
-        # Exact mode self-calibrates: once enough positions have been
-        # observed, re-order so the empirically hottest word lines come
-        # first — sparse positions then run out of active rows (and
-        # retire, bounds [0, 0]) after the first chunks.  Any ordering
-        # is sound, so the emitted bits are unchanged; threshold mode
-        # keeps the static order (its decisions depend on it).
-        calibrating = policy.exact and policy.calibrate_positions > 0
-        self._calibrated = not calibrating
-        self._freq = np.zeros(self.rows) if calibrating else None
-        self._seen = 0
-
-    def _build(self, order: np.ndarray) -> None:
-        """(Re)compile the head selection and bound tables.
-
-        The batch bit matrix is never permuted wholesale: the head rows
-        are gathered for the full batch (a thin float32 ``(n, head)``
-        copy) and the full row set only for the surviving positions.
-        """
-        policy = self.policy
-        head = min(self.rows, policy.chunk_rows * policy.group_check)
-        self._head = head
-        head_rows = order[:head]
-        tail_rows = order[head:]
-        # Head weights live in float32: the whole checkpoint stage —
-        # gather, head matmul, interval compare — runs in single
-        # precision, halving its memory traffic.  Its rounding is
-        # enveloped by the pad below, and a surviving position
-        # recomputes its *full* row sum in float64 afterwards, so the
-        # emitted bits never depend on the float32 arithmetic.
-        self._w_head32 = np.ascontiguousarray(
-            self._weights[head_rows], dtype=np.float32
-        )
-        # Gather indices into the caller's bit matrix (global columns
-        # when this estimator covers a scattered split block).
-        if self._row_index is not None:
-            self._ghead = self._row_index[head_rows]
-            self._gall = self._row_index
-        else:
-            self._ghead = head_rows
-            self._gall = np.arange(self.rows)
-        self._cap = policy.max_k
-        conf = policy.confidence if policy.mode == "threshold" else 1.0
-        # Magnitude bound on every checkpoint quantity (accumulator,
-        # bound table entry, bias) — the float32 pad scales with it.
-        mags = np.abs(self._weights).sum(axis=0) + 1.0
-        if self._bias is not None:
-            mags = mags + np.abs(self._bias)
-        self._bound = float(mags.max())
-        bias_row = 0.0 if self._bias is None else self._bias
-        if head < self.rows:
-            suffix = self._weights[tail_rows]
-            lo = _suffix_bound_table(np.minimum(suffix, 0.0), self._cap)
-            hi = _suffix_bound_table(np.maximum(suffix, 0.0), self._cap)
-            # Bias folds into the tables: the checkpoint then compares
-            # gathered values directly, with no per-position bias pass.
-            self._lo32 = (lo * conf + bias_row).astype(np.float32)
-            self._hi32 = (hi * conf + bias_row).astype(np.float32)
-        else:
-            self._lo32 = None
-            self._hi32 = None
-        if policy.exact:
-            unit = _MARGIN_SLACK * _EPS * (self.rows + 8.0)
-            self._margin_unit = unit
-            self._margin_base = unit * mags
-        else:
-            self._margin_unit = 0.0
-            self._margin_base = np.zeros(self.cols)
-        # Checkpoint pad: covers the float32 head accumulation (error
-        # <= ~head * eps32 * bound for 0/1 inputs), the float64->float32
-        # weight/table/threshold conversions and the comparison chain's
-        # own roundings.
-        self._pad_unit = _F32_SLACK * _EPS32
-        self._pad_base = self._pad_unit * ((head + 8.0) * self._bound + 1.0)
-
-    @property
-    def has_checkpoint(self) -> bool:
-        """True when a skippable tail (and its float32 stage) exists.
-
-        A head spanning every row degenerates to plain exact compute —
-        callers can then skip building the shared float32 bit plane.
-        """
-        return self._head < self.rows
-
-    def _observe(self, bits: np.ndarray) -> None:
-        """Accumulate row-activity statistics; recalibrate when due.
-
-        Runs before the batch is processed, so a recalibration applies
-        from the *current* call onward — decisions stay bit-identical
-        either way (exact mode only ever reaches here).
-        """
-        if self._row_index is not None:
-            self._freq += bits[:, self._row_index].sum(axis=0)
-        else:
-            self._freq += bits.sum(axis=0)
-        self._seen += bits.shape[0]
-        if self._seen >= self.policy.calibrate_positions:
-            order = np.argsort(-self._freq, kind="stable")
-            self._build(order)
-            self._calibrated = True
-            self._freq = None
-
-    def decide(
-        self,
-        bits: np.ndarray,
-        thresholds: np.ndarray,
-        care: Optional[np.ndarray] = None,
-        ones: Optional[np.ndarray] = None,
-        bits32: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, SkipStats]:
-        """Columnwise strict comparisons ``row_sum + bias > threshold``.
-
-        ``bits`` is ``(n, rows)`` 0/1 selection signals; ``thresholds``
-        broadcasts to ``(n, cols)`` — scalar, per-column ``(cols,)``,
-        per-position ``(n, 1)`` (the §4.3 dynamic block thresholds) or
-        fully general ``(n, cols)``; ``care`` optionally masks out
-        columns whose outcome no longer matters (their output stays 0
-        and they never hold a position back); ``ones`` optionally passes
-        the per-position active-row counts ``bits.sum(axis=1)`` when the
-        caller already has them; ``bits32`` optionally passes a float32
-        copy of ``bits`` (the checkpoint's working dtype) so a caller
-        sharing one bit matrix across several block estimators converts
-        it once instead of per call.
-
-        Returns ``(out, ambiguous, stats)``: ``out`` is the ``(n, cols)``
-        float64 0/1 decision plane, ``ambiguous`` a ``(n,)`` bool mask of
-        positions the exact mode could not certify (the caller must
-        recompute those through the unmodified engine path; always
-        all-False in threshold mode).
-        """
-        bits = np.asarray(bits, dtype=np.float64)
-        if bits.ndim == 1:
-            bits = bits[None, :]
-        n = bits.shape[0]
-        cols = self.cols
-        out = np.zeros((n, cols))
-        ambiguous = np.zeros(n, dtype=bool)
-        stats = SkipStats()
-        if n == 0 or self.rows == 0:
-            return out, ambiguous, stats
-        if not self._calibrated:
-            self._observe(bits)
-
-        # Row-constant thresholds stay low-rank and broadcast; the
-        # exact margin stays (1, cols) by bounding a per-position
-        # threshold magnitude with its batch maximum (a larger margin
-        # is always sound — at worst one more replay).
-        thr = np.asarray(thresholds, dtype=np.float64)
-        thr_a = thr if thr.ndim == 2 else np.broadcast_to(thr, (1, cols))
-        thr_max = float(np.abs(thr).max())
-        if self.policy.exact:
-            margin_a = (
-                self._margin_base + self._margin_unit * thr_max
-            )[None, :]
-        else:
-            margin_a = np.zeros((1, cols))
-
-        und = (
-            np.array(care, dtype=bool, copy=True)
-            if care is not None
-            else np.ones((n, cols), dtype=bool)
-        )
-        # Per-position undecided-column count: retirement detection is
-        # an O(n) vector compare instead of an (n, cols) reduction.
-        und_cnt = und.sum(axis=1)
-        stats.est_positions = int(und_cnt.sum())
-
-        head = self._head
-        if head < self.rows:
-            # Head accumulation + checkpoint, entirely in float32: one
-            # k-conditioned interval check over the whole batch, padded
-            # so it is conservative under every single-precision
-            # rounding (the bias rides inside the bound tables).
-            # tail_k is each position's remaining active rows; an
-            # exhausted position (tail_k == 0) gets the degenerate
-            # [bias, bias] interval — a padded margin check on its
-            # already-final accumulator.
-            if bits32 is None:
-                bits32 = bits.astype(np.float32)
-            pb_head = bits32[:, self._ghead]
-            acc32 = pb_head @ self._w_head32
-            if ones is None:
-                local = (
-                    bits
-                    if self._row_index is None
-                    else bits[:, self._row_index]
-                )
-                ones = local.sum(axis=1)
-            # 0/1 sums stay exact in float32 far beyond any layer size,
-            # so tail_k is the exact remaining-active count.
-            tail_k = np.asarray(ones, dtype=np.float64) - np.asarray(
-                pb_head.sum(axis=1), dtype=np.float64
-            )
-            kk = np.minimum(tail_k, self._cap).astype(np.intp)
-            thr32 = thr_a.astype(np.float32)
-            m32 = (
-                margin_a + self._pad_base + self._pad_unit * thr_max
-            ).astype(np.float32)
-            fire = acc32 + self._lo32[kk] - m32 > thr32
-            newly = (fire | (acc32 + self._hi32[kk] + m32 <= thr32)) & und
-            dec = newly.sum(axis=1)
-            if dec.any():
-                out[newly & fire] = 1.0
-                und &= ~newly
-                und_cnt -= dec
-                stats.est_decided += int(dec.sum())
-            done = und_cnt == 0
-            rest = np.flatnonzero(~done)
-            stats.skipped_rows += int(tail_k[done].sum())
-            stats.skipped_slots += int(done.sum()) * (self.rows - head)
-            if rest.size == 0:
-                return out, ambiguous, stats
-            # Survivors recompute their full row sum exactly: a thin
-            # two-axis float64 gather plus one contiguous matmul.  The
-            # float32 stage never feeds the emitted bits.
-            acc = bits[np.ix_(rest, self._gall)] @ self._weights
-            und = und[rest]
-            if thr_a.shape[0] != 1:
-                thr_a = thr_a[rest]
-        else:
-            # Degenerate head (tiny matrix): no checkpoint, plain exact
-            # compute.
-            rest = np.arange(n)
-            local = bits if self._row_index is None else bits[:, self._gall]
-            acc = local @ self._weights
-        if self._bias is not None:
-            acc = acc + self._bias
-
-        # Final margin check on the (now complete) accumulators.
-        fire = acc - margin_a > thr_a
-        newly = (fire | (acc + margin_a <= thr_a)) & und
-        sub = out[rest]
-        sub[newly & fire] = 1.0
-        leftover = und & ~newly
-        if leftover.any():
-            if self.policy.exact:
-                ambiguous[rest[leftover.any(axis=1)]] = True
-            else:
-                sub[leftover & (acc > thr_a)] = 1.0
-        out[rest] = sub
-        return out, ambiguous, stats
 
 
 class PackedSuffixBounds:

@@ -37,7 +37,7 @@ from repro.nn.layers import Conv2D, Dense, Layer, MaxPool2D, ReLU
 from repro.nn.network import Sequential
 
 from repro.core.binarized import BinarizedNetwork
-from repro.core.estimate import ColumnEstimator, EstimatorPolicy, SkipStats
+from repro.core.estimate import EstimatorPolicy, SkipStats
 from repro.core.homogenize import Partition, homogenize, natural_partition
 from repro.core.matrix_compute import (
     RowPlan,
@@ -231,15 +231,15 @@ def assemble_sei_network(
     (current summing into the WTA readout), matching the pipeline
     default.
 
-    ``engine`` selects the crossbar arithmetic, preferably as a
+    ``engine`` selects the crossbar arithmetic as a
     :class:`repro.core.engines.EngineSpec` (in which case ``config``
-    must be left unset — the hardware options live on the spec):
-    ``'fused'`` (default) collapses the bit-sliced crossbars of each
-    layer into stacked matmuls; ``'reference'`` keeps the pre-fusion
-    per-slice / per-block loops — numerically equivalent (identical
-    noise streams, partial sums re-associated), retained as the
-    equivalence oracle and perf-benchmark baseline.  Bare engine
-    strings are deprecated.
+    must be left unset — the hardware options live on the spec), or
+    ``None`` for the default fused spec built from ``config``:
+    ``'fused'`` collapses the bit-sliced crossbars of each layer into
+    stacked matmuls; ``'reference'`` keeps the pre-fusion per-slice /
+    per-block loops — numerically equivalent (identical noise streams,
+    partial sums re-associated), retained as the equivalence oracle and
+    perf-benchmark baseline.
     """
     # Local import: repro.core.engines registers its builders on top of
     # this module, so the dependency cannot also point the other way at
@@ -260,6 +260,12 @@ def assemble_sei_network(
             raise ConfigurationError(
                 "the 'reference' engine is the equivalence oracle and "
                 "runs estimator-free; use the fused or packed engine"
+            )
+        if not estimator.exact:
+            raise ConfigurationError(
+                "the fused engine's estimator skips only settled block "
+                "votes, so it has no confidence to trade; threshold mode "
+                "runs on the packed engine"
             )
         if config.temporal is not None and config.temporal.enabled:
             raise ConfigurationError(
@@ -343,12 +349,7 @@ def assemble_sei_network(
                 temporal=config.temporal,
             )
             binarized.layer_computes[index] = _unsplit_compute(
-                crossbar,
-                engine,
-                obs_index=index,
-                estimator=estimator,
-                threshold=thresholds.get(index),
-                bias=layer_bias(layer),
+                crossbar, engine, obs_index=index
             )
             hardware_layers[index] = {"kind": "unsplit", "crossbar": crossbar}
             device_arrays[f"layer{index}"] = crossbar.array
@@ -502,9 +503,6 @@ def _identity_compute():
 def _unsplit_compute(
     crossbar: SEIMatrix, engine: str = "fused",
     obs_index: Optional[int] = None,
-    estimator: Optional[EstimatorPolicy] = None,
-    threshold: Optional[float] = None,
-    bias: Optional[np.ndarray] = None,
 ):
     noise_draws = crossbar.num_cells if crossbar.fused_matrix is None else 0
 
@@ -522,62 +520,6 @@ def _unsplit_compute(
             return apply_matrix_fn(layer, x, reference_fn)
 
         return compute
-
-    # Estimator hook-in: only on static (noiseless-read) cells — the
-    # bound tables are compiled against the collapsed matrix — and only
-    # for thresholded hidden layers whose T lies in [0, 1), where the
-    # outer binarize maps an emitted 0/1 plane to itself.  The final
-    # (un-thresholded) layer and noisy crossbars silently fall through
-    # to the unmodified path.
-    if (
-        estimator is not None
-        and estimator.enabled
-        and crossbar.fused_matrix is not None
-        and threshold is not None
-        and 0.0 <= threshold < 1.0
-    ):
-        bias_vec = (
-            np.zeros(crossbar.cols)
-            if bias is None
-            else np.asarray(bias, dtype=np.float64)
-        )
-        # Off-mode fires a column when sum + bias_c > T; the bias is
-        # folded into the estimator's accumulator.
-        column_est = ColumnEstimator(
-            crossbar.fused_matrix, estimator, bias=bias_vec
-        )
-        thr_eff = float(threshold)
-
-        def est_fn(bits: np.ndarray) -> np.ndarray:
-            n = bits.shape[0] if bits.ndim > 1 else 1
-            out, ambiguous, stats = column_est.decide(bits, thr_eff)
-            if ambiguous.any():
-                # Exact mode could not certify every position: replay
-                # the unmodified off-mode arithmetic on the whole batch
-                # (same GEMM shape, so bitwise identical values) and
-                # let the outer binarize make the comparisons.  The
-                # crossbar accounts its own reads on this path.
-                _record_mvms(
-                    obs_index, bits, crossbar.cols,
-                    cells_per_weight=crossbar.cells_per_weight,
-                )
-                return crossbar.compute(bits, validate=False) + bias_vec
-            crossbar.array.note_reads(n)
-            _record_mvms(
-                obs_index, bits, crossbar.cols,
-                cells_per_weight=crossbar.cells_per_weight,
-                sa_events=n * crossbar.cols - stats.est_decided,
-                skip=stats,
-            )
-            return out
-
-        def est_compute(layer: Layer, x: np.ndarray) -> np.ndarray:
-            ensure_binary(x, "SEI inputs")
-            return apply_matrix_fn(
-                layer, x, est_fn, add_bias=False, contiguous=False
-            )
-
-        return est_compute
 
     def matrix_fn(bits: np.ndarray) -> np.ndarray:
         _record_mvms(
@@ -667,43 +609,15 @@ def _split_compute(
         )
         return fired.sum(axis=1, dtype=np.uint8)
 
-    # ``kernel`` maps the layer's rows to per-position vote counts; all
-    # kernels but the float32 checkpoint schedule read the planned rows.
-    kernel, planned = off_counts, True
-    # Estimator hook-in: per-block interval bounds plus §4.3 vote-level
-    # early termination.  A block's firing bit is decided chunk by chunk
-    # against its dynamic threshold; a column whose *vote* is settled
-    # (counts >= V, or mathematically unreachable) stops caring about
-    # later blocks, and a position with every column settled skips the
-    # remaining block crossbars outright.  Only on static cells — noisy
-    # blocks fall through to the unmodified path.
+    # ``kernel`` maps the layer's planned rows to per-position vote counts.
+    kernel = off_counts
+    # Estimator hook-in: the deferred-block vote schedule (§4.3 vote-level
+    # early termination).  A position whose vote is settled (counts >= V,
+    # or mathematically unreachable) skips its remaining block crossbars
+    # outright.  Only on static cells — noisy blocks fall through to the
+    # unmodified path.
     if estimator is not None and estimator.enabled and split._fused_blocks:
-        block_rows = [np.asarray(b, dtype=np.intp) for b in split.blocks]
-        # Each block's estimator indexes the *full* bit matrix through
-        # its row_index — no per-block sub-matrix is ever gathered (the
-        # homogenized partitions scatter rows, so those gathers would
-        # be full fancy-index copies of the batch).
-        estimators = [
-            ColumnEstimator(
-                xbar.fused_matrix,
-                estimator,
-                bias=split.block_bias,
-                row_index=rows_k,
-            )
-            for xbar, rows_k in zip(split._block_crossbars, block_rows)
-        ]
-        # 0/1 block-membership matrix: one matmul yields every block's
-        # per-position active-row count.
-        membership32 = np.zeros((total_rows, num_blocks), dtype=np.float32)
-        for k, rows_k in enumerate(block_rows):
-            membership32[rows_k, k] = 1.0
-
-        # Head sizes spanning a whole block have no intra-block
-        # checkpoint: the estimator degenerates to pure vote-level
-        # (whole-block) skipping, and the fast schedule below keeps the
-        # off path's batched layout for the unskippable prefix blocks.
-        needs32 = any(e.has_checkpoint for e in estimators)
-        block_sizes = [len(r) for r in block_rows]
+        block_sizes = [len(b) for b in split.blocks]
 
         def est_fn_blocks(gathered: np.ndarray) -> np.ndarray:
             # Deferred-block schedule: blocks are computed with the
@@ -783,92 +697,7 @@ def _split_compute(
             )
             return counts
 
-        def est_fn(bits: np.ndarray) -> np.ndarray:
-            n = bits.shape[0]
-            stats = SkipStats()
-            # One float32 copy of the batch serves every block's
-            # checkpoint stage (and the membership matmul: 0/1 counts
-            # stay exact in float32).
-            bits32 = bits.astype(np.float32) if needs32 else None
-            lhs = bits if bits32 is None else bits32
-            ones_all = (lhs @ membership32).astype(np.float64)
-            counts = np.zeros((n, cols), dtype=np.uint8)
-            alive = np.arange(n)
-            # Alive-compacted working set: whole-row compaction happens
-            # only when positions actually retire.  Vote bookkeeping
-            # runs in uint8 — an (n, cols) pass then moves 1/8th of the
-            # bytes the float plane would.
-            bits_al = bits
-            bits32_al = bits32
-            ones_al = ones_all
-            counts_al = counts
-            dec_al = np.zeros((n, cols), dtype=bool)
-            processed = np.zeros(num_blocks, dtype=np.int64)
-            fallback = False
-            for k in range(num_blocks):
-                if alive.size == 0:
-                    break
-                # Block k fires a column when its partial sum + bias_c
-                # clears the dynamic threshold t(ones_k) (Equ. 7); the
-                # bias sits inside the estimator, so the threshold
-                # stays the cheap per-position column vector.
-                thr = split.decision.thresholds_for(ones_al[:, k])[:, None]
-                out_k, ambiguous, s = estimators[k].decide(
-                    bits_al, thr, care=~dec_al, ones=ones_al[:, k],
-                    bits32=bits32_al,
-                )
-                if ambiguous.any():
-                    fallback = True
-                    break
-                processed[k] = alive.size
-                stats.merge(s)
-                counts_al = counts_al + out_k.astype(np.uint8)
-                remaining = num_blocks - 1 - k
-                dec_al = (
-                    dec_al
-                    | (counts_al >= vote)
-                    | (counts_al + remaining < vote)
-                )
-                if remaining:
-                    done = dec_al.all(axis=1)
-                    if done.any():
-                        stats.skipped_rows += int(
-                            ones_al[done, k + 1 :].sum()
-                        )
-                        stats.skipped_slots += int(done.sum()) * sum(
-                            len(block_rows[j])
-                            for j in range(k + 1, num_blocks)
-                        )
-                        counts[alive[done]] = counts_al[done]
-                        keep = ~done
-                        alive = alive[keep]
-                        bits_al = bits_al[keep]
-                        if bits32_al is not None:
-                            bits32_al = bits32_al[keep]
-                        ones_al = ones_al[keep]
-                        counts_al = counts_al[keep]
-                        dec_al = dec_al[keep]
-            if alive.size:
-                counts[alive] = counts_al
-            if fallback:
-                # Exact mode hit an uncertifiable position: replay the
-                # unmodified off-mode vote on the whole batch (identical
-                # arithmetic; block_bits accounts its own reads).
-                record(bits)
-                return split.block_bits(bits, validate=False).sum(axis=1)
-            for k in range(num_blocks):
-                if processed[k]:
-                    split._block_crossbars[k].array.note_reads(
-                        int(processed[k])
-                    )
-            record(
-                bits,
-                sa_events=stats.est_positions - stats.est_decided,
-                skip=stats,
-            )
-            return counts
-
-        kernel, planned = (est_fn, False) if needs32 else (est_fn_blocks, True)
+        kernel = est_fn_blocks
 
     # The vote plane is 0/1, so a threshold in [0, 1) maps it to itself.
     emit_bits = threshold is not None and 0.0 <= float(threshold) < 1.0
@@ -877,10 +706,7 @@ def _split_compute(
         # One validation pass on the compact input beats re-checking the
         # unfolded receptive fields.
         ensure_binary(x, "split-matrix inputs")
-        rows = (
-            plan.gather(layer, x, scratch) if planned
-            else _as_matrix_rows(layer, x)
-        )
+        rows = plan.gather(layer, x, scratch)
         votes = fold_rows(layer, x.shape, kernel(rows))
         # A fresh float64 plane in the layer's output layout, exactly
         # what the outer binarize would write: the next layers see the

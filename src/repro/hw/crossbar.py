@@ -13,7 +13,6 @@ and the fabrication size limit (512 x 512 state of the art [15]).
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -53,9 +52,7 @@ class Crossbar:
 
     The cells themselves live on a :class:`~repro.hw.array.
     DeviceArrayBase` exposed as :attr:`array` — program, read, age,
-    snapshot and re-tune the crossbar through it.  The historical
-    ``crossbar.conductance`` attribute access still works but is
-    deprecated in favour of ``crossbar.array.conductance``.
+    snapshot and re-tune the crossbar through it.
     """
 
     def __init__(
@@ -97,28 +94,6 @@ class Crossbar:
         self.effective_weights = self.device.conductance_to_normalized(
             self.device.level_conductance(self.device.quantize_levels(weights))
         )
-
-    @property
-    def conductance(self) -> np.ndarray:
-        """Deprecated: read the cells via ``crossbar.array`` instead."""
-        warnings.warn(
-            "Crossbar.conductance is deprecated; use "
-            "crossbar.array.conductance (and crossbar.array.read(...) for "
-            "noisy reads) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.array.conductance
-
-    @conductance.setter
-    def conductance(self, value: np.ndarray) -> None:
-        warnings.warn(
-            "assigning Crossbar.conductance is deprecated; program the "
-            "cells through crossbar.array.apply_conductance(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.array.apply_conductance(value)
 
     # -- computation -------------------------------------------------------
     @property

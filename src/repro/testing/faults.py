@@ -263,16 +263,17 @@ def temporal_aging_sweep(
 def estimator_confidence_sweep(
     case: ConformanceCase,
     levels: Sequence[float] = (0.0, 0.1, 0.3, 0.5),
-    engine: str = "fused",
+    engine: str = "packed",
     runner: Optional[DifferentialRunner] = None,
 ) -> NoiseSweepResult:
     """Decision disagreement vs the estimator-off engine as confidence drops.
 
     Sweeps the ``threshold`` runtime activation estimator
-    (:class:`repro.core.estimate.EstimatorPolicy`) on ``engine`` and
-    measures the fraction of samples whose *classification decisions*
-    depart from the same engine running estimator-free.  ``levels`` are
-    oriented larger-is-worse like every campaign knob: a level ``l``
+    (:class:`repro.core.estimate.EstimatorPolicy`) on ``engine``
+    (threshold mode is packed-only) and measures the fraction of
+    samples whose *classification decisions* depart from the same
+    engine running estimator-free.  ``levels`` are oriented
+    larger-is-worse like every campaign knob: a level ``l``
     sweeps ``confidence = 1 - l``, and level ``0.0`` is the clean
     baseline (estimator off, disagreement identically zero).  The
     campaign asserts the resulting curve is monotone within tolerance

@@ -1,47 +1,13 @@
-"""Tests for repro.analysis.sweeps (now a shim over repro.dse).
+"""Tests for the cost-model design-space sweep and its Pareto front.
 
-The behavioural tests below run through the deprecated aliases on
-purpose: the shim must stay functionally identical to the originals
-until it is removed.
+``repro.dse.design_space_sweep`` is the flat technology-model grid;
+``repro.dse.pareto_front`` filters it (legacy ``minimise`` keyword).
 """
-
-import warnings
 
 import pytest
 
-from repro.analysis import design_space_sweep, pareto_front
+from repro.dse import design_space_sweep, pareto_front
 from repro.errors import ConfigurationError
-
-
-class TestDeprecationShim:
-    def test_design_space_sweep_warns_and_delegates(self):
-        import repro.dse
-
-        with pytest.warns(DeprecationWarning, match="repro.dse"):
-            rows = design_space_sweep(
-                "network2", crossbar_sizes=(512,), cell_bits=(4,)
-            )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the new home must not warn
-            direct = repro.dse.design_space_sweep(
-                "network2", crossbar_sizes=(512,), cell_bits=(4,)
-            )
-        assert rows == direct
-
-    def test_pareto_front_warns_and_delegates(self):
-        rows = [
-            {"energy_uj": 1.0, "area_mm2": 2.0},
-            {"energy_uj": 2.0, "area_mm2": 3.0},
-        ]
-        with pytest.warns(DeprecationWarning, match="repro.dse"):
-            front = pareto_front(rows)
-        assert front == rows[:1]
-
-    def test_names_still_importable_from_analysis_package(self):
-        from repro.analysis import sweeps
-
-        assert sweeps.design_space_sweep is design_space_sweep
-        assert sweeps.pareto_front is pareto_front
 
 
 class TestDesignSpaceSweep:

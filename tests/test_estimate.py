@@ -15,10 +15,8 @@ import pytest
 from repro import obs
 from repro.core.engines import EngineSpec, compile_network
 from repro.core.estimate import (
-    ColumnEstimator,
     EstimatorPolicy,
     PackedSuffixBounds,
-    SkipStats,
     _suffix_bound_table,
     packed_fire_band,
 )
@@ -59,18 +57,6 @@ class TestEstimatorPolicy:
             EstimatorPolicy(**kwargs)
 
 
-class TestSkipStats:
-    def test_merge_accumulates(self):
-        a = SkipStats(1, 2, 3, 4)
-        a.merge(SkipStats(10, 20, 30, 40))
-        assert (
-            a.skipped_rows,
-            a.skipped_slots,
-            a.est_positions,
-            a.est_decided,
-        ) == (11, 22, 33, 44)
-
-
 class TestSuffixBoundTable:
     """Row ``k`` of the table is extreme over every k-row subset."""
 
@@ -101,115 +87,6 @@ class TestSuffixBoundTable:
     def test_empty_suffix_is_zero(self):
         table = _suffix_bound_table(np.zeros((0, 3)), 4)
         np.testing.assert_array_equal(table, 0.0)
-
-
-class TestColumnEstimator:
-    def _case(self, rng, rows=48, cols=6, n=32, density=0.35):
-        weights = rng.normal(size=(rows, cols)) / np.sqrt(rows)
-        bits = (rng.random((n, rows)) < density).astype(np.float64)
-        thresholds = rng.normal(scale=0.3, size=cols)
-        return weights, bits, thresholds
-
-    def test_exact_decisions_match_brute_force(self, rng):
-        weights, bits, thresholds = self._case(rng)
-        policy = EstimatorPolicy(mode="exact", chunk_rows=8)
-        est = ColumnEstimator(weights, policy)
-        out, ambiguous, stats = est.decide(bits, thresholds)
-        reference = (bits @ weights > thresholds).astype(np.float64)
-        settled = ~ambiguous
-        assert settled.any()
-        np.testing.assert_array_equal(out[settled], reference[settled])
-        assert stats.est_positions == bits.shape[0] * weights.shape[1]
-        assert 0 <= stats.est_decided <= stats.est_positions
-        assert stats.skipped_rows >= 0
-        assert stats.skipped_slots >= 0
-
-    def test_exact_skips_on_sparse_inputs(self, rng):
-        # The paper's upper-layer regime: ~5% activity, so suffix
-        # activity counts collapse fast and most rows retire early.
-        weights, _, _ = self._case(rng, rows=128, cols=4)
-        bits = (rng.random((24, 128)) < 0.05).astype(np.float64)
-        policy = EstimatorPolicy(mode="exact", chunk_rows=16)
-        out, ambiguous, stats = ColumnEstimator(weights, policy).decide(
-            bits, np.full(4, 0.5)
-        )
-        assert stats.skipped_slots > 0
-        assert stats.est_decided > 0
-
-    def test_per_sample_thresholds(self, rng):
-        weights, bits, _ = self._case(rng, n=16)
-        thr = rng.normal(scale=0.3, size=(16, weights.shape[1]))
-        est = ColumnEstimator(weights, EstimatorPolicy(mode="exact"))
-        out, ambiguous, _ = est.decide(bits, thr)
-        reference = (bits @ weights > thr).astype(np.float64)
-        settled = ~ambiguous
-        np.testing.assert_array_equal(out[settled], reference[settled])
-
-    def test_care_mask_frees_positions(self, rng):
-        # A position whose undecidable column is masked out retires as
-        # soon as its remaining columns settle; masked output stays 0.
-        weights, bits, thresholds = self._case(rng)
-        est = ColumnEstimator(weights, EstimatorPolicy(mode="exact"))
-        care = np.ones((bits.shape[0], weights.shape[1]), dtype=bool)
-        care[:, 0] = False
-        out, _, stats = est.decide(bits, thresholds, care=care)
-        np.testing.assert_array_equal(out[:, 0], 0.0)
-        full_stats = est.decide(bits, thresholds)[2]
-        assert stats.est_positions < full_stats.est_positions
-        assert stats.skipped_slots >= full_stats.skipped_slots
-
-    def test_threshold_mode_never_ambiguous(self, rng):
-        weights, bits, thresholds = self._case(rng)
-        est = ColumnEstimator(
-            weights, EstimatorPolicy(mode="threshold", confidence=0.7)
-        )
-        out, ambiguous, _ = est.decide(bits, thresholds)
-        assert not ambiguous.any()
-        assert set(np.unique(out)) <= {0.0, 1.0}
-
-    def test_threshold_mode_with_per_sample_thresholds(self, rng):
-        # Regression: the zero margin is (1, cols) and must broadcast to
-        # the batch even when the thresholds are already per-sample
-        # (the split path's dynamic block thresholds), or retiring a
-        # position mis-indexes the margin array.
-        weights, bits, _ = self._case(rng, rows=96, n=48, density=0.1)
-        thr = rng.normal(scale=0.3, size=(48, weights.shape[1]))
-        est = ColumnEstimator(
-            weights,
-            EstimatorPolicy(mode="threshold", confidence=0.3, chunk_rows=32),
-        )
-        out, ambiguous, stats = est.decide(bits, thr)
-        assert not ambiguous.any()
-        assert stats.skipped_slots > 0
-
-    def test_threshold_skipping_monotone_in_confidence(self, rng):
-        # Shrinking the interval by ``confidence`` can only move each
-        # decision earlier, so skipped work is monotone as confidence
-        # drops -- the invariant the campaign sweep leans on.
-        weights, bits, thresholds = self._case(rng, rows=96, n=64)
-        skipped = []
-        for confidence in (1.0, 0.8, 0.5, 0.25):
-            policy = EstimatorPolicy(
-                mode="threshold", confidence=confidence, chunk_rows=8
-            )
-            stats = ColumnEstimator(weights, policy).decide(
-                bits, thresholds
-            )[2]
-            skipped.append(stats.skipped_slots)
-        assert skipped == sorted(skipped)
-
-    def test_rejects_non_2d_weights(self):
-        with pytest.raises(ConfigurationError, match="2D"):
-            ColumnEstimator(np.zeros(8), EstimatorPolicy(mode="exact"))
-
-    def test_empty_batch(self, rng):
-        weights, _, thresholds = self._case(rng)
-        est = ColumnEstimator(weights, EstimatorPolicy(mode="exact"))
-        out, ambiguous, stats = est.decide(
-            np.zeros((0, weights.shape[0])), thresholds
-        )
-        assert out.shape == (0, weights.shape[1])
-        assert stats.est_positions == 0
 
 
 class TestPackedSuffixBounds:
@@ -301,6 +178,14 @@ class TestEngineGates:
                 self._spec("reference"),
             )
 
+    def test_fused_engine_rejects_threshold_mode(self, tiny_quantized):
+        with pytest.raises(ConfigurationError, match="packed"):
+            compile_network(
+                tiny_quantized.network,
+                tiny_quantized.thresholds,
+                self._spec("fused", mode="threshold"),
+            )
+
     def test_temporal_aging_rejects_estimator(self, tiny_quantized):
         spec = self._spec(
             "fused", temporal=TemporalConfig(drift_nu=0.05, seed=3)
@@ -315,15 +200,12 @@ class TestCompiledNetworkIdentity:
     """``mode='exact'`` is bit-identical to ``off`` end to end."""
 
     def _predict(
-        self, engine, tiny_quantized, images, mode, chunk_rows=32,
-        confidence=1.0, **hw
+        self, engine, tiny_quantized, images, mode, confidence=1.0, **hw
     ):
         spec = EngineSpec(
             name=engine,
             hardware=HardwareConfig(device=RRAMDevice(bits=4), **hw),
-            estimator=EstimatorPolicy(
-                mode=mode, chunk_rows=chunk_rows, confidence=confidence
-            ),
+            estimator=EstimatorPolicy(mode=mode, confidence=confidence),
         )
         compiled = compile_network(
             tiny_quantized.network, tiny_quantized.thresholds, spec
@@ -352,15 +234,17 @@ class TestCompiledNetworkIdentity:
         )
         np.testing.assert_array_equal(off, exact)
 
-    def test_skip_counters_reach_metrics(self, tiny_quantized, tiny_dataset):
+    @pytest.mark.parametrize("engine", ["fused", "packed"])
+    def test_skip_counters_reach_metrics(
+        self, engine, tiny_quantized, tiny_dataset
+    ):
         images = tiny_dataset["test_x"][:24]
         with obs.recording() as rec:
             self._predict(
-                "fused",
+                engine,
                 tiny_quantized,
                 images,
                 "exact",
-                chunk_rows=8,
                 max_crossbar_size=128,
             )
         counters = rec.metrics.as_dict()["counters"]
@@ -391,18 +275,17 @@ class TestCompiledNetworkIdentity:
     ):
         # Full-confidence threshold mode keeps the entire interval, so
         # its decisions match ``off`` on every sample (on both the
-        # unsplit and the split per-sample-threshold paths); shrinking
-        # the confidence can only add disagreement.
+        # unsplit and the split paths); shrinking the confidence can
+        # only add disagreement.  Threshold mode is packed-only.
         images = tiny_dataset["test_x"][:40]
-        off = self._predict("fused", tiny_quantized, images, "off", **hw)
+        off = self._predict("packed", tiny_quantized, images, "off", **hw)
         rates = []
         for confidence in (1.0, 0.8):
             loose = self._predict(
-                "fused",
+                "packed",
                 tiny_quantized,
                 images,
                 "threshold",
-                chunk_rows=8,
                 confidence=confidence,
                 **hw,
             )

@@ -113,9 +113,3 @@ class TestNonIdealities:
             rng=np.random.default_rng(7),
         )
         np.testing.assert_allclose(a.array.conductance, b.array.conductance)
-
-    def test_conductance_attribute_is_deprecated(self, rng):
-        xbar = Crossbar(rng.random((4, 4)))
-        with pytest.warns(DeprecationWarning):
-            legacy = xbar.conductance
-        np.testing.assert_array_equal(legacy, xbar.array.conductance)

@@ -260,23 +260,13 @@ class TestEngineSpec:
     def test_registry_lists_builtins(self):
         assert set(available_engines()) >= {"fused", "reference", "adc"}
 
-    def test_string_engine_warns_but_works(self, tiny_quantized):
-        spec_net = assemble_sei_network(
-            tiny_quantized.network,
-            tiny_quantized.thresholds,
-            engine=EngineSpec(name="reference"),
-        )
-        with pytest.warns(DeprecationWarning, match="EngineSpec"):
-            legacy_net = assemble_sei_network(
+    def test_string_engine_rejected(self, tiny_quantized):
+        with pytest.raises(ConfigurationError, match="EngineSpec"):
+            assemble_sei_network(
                 tiny_quantized.network,
                 tiny_quantized.thresholds,
                 engine="reference",
             )
-        x = np.zeros((2, 1, 28, 28))
-        x[:, :, 10:18, 10:18] = 1.0
-        assert np.array_equal(
-            spec_net.forward(x), legacy_net.forward(x)
-        )
 
     def test_spec_plus_config_rejected(self, tiny_quantized):
         with pytest.raises(ConfigurationError):
@@ -289,12 +279,11 @@ class TestEngineSpec:
 
     def test_unknown_engine_rejected(self, tiny_quantized):
         with pytest.raises(ConfigurationError, match="supports engines"):
-            with pytest.warns(DeprecationWarning):
-                assemble_sei_network(
-                    tiny_quantized.network,
-                    tiny_quantized.thresholds,
-                    engine="warp-drive",
-                )
+            assemble_sei_network(
+                tiny_quantized.network,
+                tiny_quantized.thresholds,
+                engine=EngineSpec(name="warp-drive"),
+            )
 
     def test_compile_network_adc_engine(self, tiny_quantized, tiny_dataset):
         net = compile_network(

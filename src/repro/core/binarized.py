@@ -206,17 +206,16 @@ class BinarizedNetwork:
         steps = 2**self.input_bits - 1
         return np.rint(np.clip(x, 0.0, 1.0) * steps) / steps
 
-    def _record_sei_layer(self, rec, index: int, layer: Layer,
+    def _record_sei_layer(self, index: int, layer: Layer,
                           x: np.ndarray) -> None:
         """Row-activity counters for a software-simulated SEI layer.
 
-        Only called while a recorder is active; uses the canonical
-        8-bit-weight / 4-bit-cell signed layout (4 cells per weight, the
-        Table 5 configuration) since the software path carries no device
-        model.
+        Uses the canonical 8-bit-weight / 4-bit-cell signed layout (4
+        cells per weight, the Table 5 configuration) since the software
+        path carries no device model.
         """
         from repro.nn.functional import im2col
-        from repro.obs.power import record_mvm_batch
+        from repro.obs.power import record_layer
 
         if isinstance(layer, Conv2D):
             bits = im2col(
@@ -227,7 +226,10 @@ class BinarizedNetwork:
         else:
             bits = x
             cols = layer.out_features
-        record_mvm_batch(rec.metrics, index, bits, cols, cells_per_weight=4)
+        record_layer(
+            index, lambda: bits.sum(axis=1), rows=bits.shape[1], cols=cols,
+            cells_per_weight=4,
+        )
 
     def _run_layer(self, index: int, layer: Layer, x: np.ndarray) -> np.ndarray:
         compute = self.layer_computes.get(index)
@@ -235,11 +237,11 @@ class BinarizedNetwork:
             if compute is not None:
                 x = compute(layer, x)
             else:
-                rec = obs.active()
-                if rec is not None and index in getattr(
+                # The unfold only runs while a recorder is on.
+                if obs.active() is not None and index in getattr(
                     self, "_obs_sei_layers", ()
                 ):
-                    self._record_sei_layer(rec, index, layer, x)
+                    self._record_sei_layer(index, layer, x)
                 x = layer.forward(x)
             if index in self.thresholds and index not in self.prebinarized:
                 # ReLU is merged into this comparison: relu is monotonic

@@ -58,12 +58,17 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "EstimatorPolicy",
+    "MAX_K",
     "SkipStats",
     "PackedSuffixBounds",
     "packed_fire_band",
 ]
 
 _MODES = ("off", "exact", "threshold")
+
+#: Depth of the k-conditioned suffix tables: remaining-active counts
+#: above it fall back to the unconditioned suffix bound.
+MAX_K = 32
 
 
 @dataclass(frozen=True)
@@ -89,16 +94,12 @@ class EstimatorPolicy:
     group_check:
         Packed engine: a decision check runs every ``group_check``
         8-row byte groups.
-    max_k:
-        Depth of the k-conditioned suffix tables; remaining-active
-        counts above it fall back to the unconditioned suffix bound.
     """
 
     mode: str = "off"
     confidence: float = 1.0
     chunk_rows: int = 32
     group_check: int = 2
-    max_k: int = 32
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -111,9 +112,9 @@ class EstimatorPolicy:
                 f"estimator confidence must lie in (0, 1], got "
                 f"{self.confidence}"
             )
-        if self.chunk_rows < 1 or self.group_check < 1 or self.max_k < 1:
+        if self.chunk_rows < 1 or self.group_check < 1:
             raise ConfigurationError(
-                "chunk_rows, group_check and max_k must all be >= 1"
+                "chunk_rows and group_check must both be >= 1"
             )
 
     @property
@@ -179,7 +180,7 @@ class PackedSuffixBounds:
     The companion tables to :func:`repro.core.packed.build_group_tables`:
     at every decision boundary (a multiple of ``policy.group_check`` byte
     groups into the block) and for every remaining popcount ``k`` (capped
-    at ``policy.max_k``), the least / greatest possible contribution of
+    at :data:`MAX_K`), the least / greatest possible contribution of
     the not-yet-gathered groups to the integer accumulator.  All values
     are exact integers, so on the split path an early decision against
     the §4.3 firing tables is identical to the final one; threshold mode
@@ -197,7 +198,7 @@ class PackedSuffixBounds:
         self.groups = rows.shape[0] // 8
         self.cols = rows.shape[1]
         self.check = policy.group_check
-        self.cap = policy.max_k
+        self.cap = MAX_K
         conf = policy.confidence if policy.mode == "threshold" else 1.0
         self.boundaries: List[int] = list(
             range(self.check, self.groups, self.check)

@@ -299,13 +299,11 @@ class SEIMatrix:
             * self._scale
         )
 
-    def compute(self, bits: np.ndarray, validate: bool = True) -> np.ndarray:
+    def compute(self, bits: np.ndarray) -> np.ndarray:
         """Analog column outputs for 1-bit inputs (the SA's input).
 
         ``bits`` is ``(n, logical_rows)`` (or 1D) with 0/1 entries; the
         read includes the device's read noise if configured.
-        ``validate=False`` skips the 0/1 check for callers that already
-        validated the bits in a more compact layout (pre-im2col).
 
         Fused kernel: the K weight slices collapse into one signed matrix
         (at ``__post_init__`` time when reads are noiseless, per read
@@ -314,16 +312,22 @@ class SEIMatrix:
         bit-identical to the retained per-slice reference
         (:meth:`compute_reference`).
         """
-        bits = self._check_bits(bits, validate)
-        fused = self.fused_matrix
-        if fused is not None:
-            out = bits @ fused
-        else:
-            rng = self.rng if self.rng is not None else np.random.default_rng()
-            matrix = self.read_effective_weights(rng)
-            out = (bits @ matrix) * self.ir_drop_attenuation
+        bits = self._check_bits(bits)
+        out = self.column_sums(bits)
         self.array.note_reads(self._read_positions(bits))
         return out
+
+    def column_sums(self, bits: np.ndarray) -> np.ndarray:
+        """The fused crossbar pass on validated float64 ``bits``.
+
+        Leaves the array's read clock to the caller.
+        """
+        fused = self.fused_matrix
+        if fused is not None:
+            return bits @ fused
+        rng = self.rng if self.rng is not None else np.random.default_rng()
+        matrix = self.read_effective_weights(rng)
+        return (bits @ matrix) * self.ir_drop_attenuation
 
     def compute_reference(self, bits: np.ndarray) -> np.ndarray:
         """The pre-fusion slice-loop implementation, kept verbatim.
@@ -364,17 +368,14 @@ class SEIMatrix:
         """MVM positions in a batch: one read event per input vector."""
         return int(np.prod(bits.shape[:-1], dtype=np.int64))
 
-    def _check_bits(
-        self, bits: np.ndarray, validate: bool = True
-    ) -> np.ndarray:
+    def _check_bits(self, bits: np.ndarray) -> np.ndarray:
         bits = np.asarray(bits, dtype=np.float64)
         if bits.shape[-1] != self.logical_rows:
             raise ShapeError(
                 f"input has {bits.shape[-1]} bits, matrix has "
                 f"{self.logical_rows} logical rows"
             )
-        if validate:
-            ensure_binary(bits, "SEI inputs")
+        ensure_binary(bits, "SEI inputs")
         return bits
 
 

@@ -38,9 +38,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro import obs
 from repro.errors import ConfigurationError, MappingError, ShapeError
 from repro.nn.layers import Layer
+from repro.obs.power import record_layer
 
 from repro.core.homogenize import Partition, natural_partition
 from repro.core.matrix_compute import (
@@ -260,25 +260,40 @@ class SplitMatrix:
         ).astype(np.float64)
 
 
-def _record_split(
+def _vote_compute(
+    layer: Layer,
     matrix: SplitMatrix,
+    decide,
     obs_index: Optional[int],
     cells_per_weight: int,
-    bits: np.ndarray,
-) -> None:
-    rec = obs.active()
-    if rec is None or obs_index is None:
-        return
-    from repro.obs.power import record_mvm_batch
+):
+    """Layer compute running ``decide`` on the layer's input rows.
 
-    record_mvm_batch(
-        rec.metrics,
-        obs_index,
-        bits,
-        matrix.cols,
-        blocks=matrix.num_blocks,
-        cells_per_weight=cells_per_weight,
-    )
+    The SplitMatrix folds the layer bias into its block sums, so the
+    generic bias addition is disabled.
+    """
+    weight_matrix = layer_weight_matrix(layer)
+    if weight_matrix.shape != matrix.weights.shape:
+        raise MappingError(
+            f"split matrix shape {matrix.weights.shape} does not match "
+            f"layer weight matrix {weight_matrix.shape}"
+        )
+
+    def matrix_fn(bits: np.ndarray) -> np.ndarray:
+        record_layer(
+            obs_index,
+            lambda: bits.sum(axis=1),
+            rows=bits.shape[1],
+            cols=matrix.cols,
+            blocks=matrix.num_blocks,
+            cells_per_weight=cells_per_weight,
+        )
+        return decide(bits)
+
+    def compute(inner_layer: Layer, x: np.ndarray) -> np.ndarray:
+        return apply_matrix_fn(inner_layer, x, matrix_fn, add_bias=False)
+
+    return compute
 
 
 def split_layer_compute(
@@ -294,23 +309,9 @@ def split_layer_compute(
     ``obs_index`` enables per-layer activity counters (MVMs, SA events,
     row activity) under ``hw/layer{obs_index}`` while a recorder is on.
     """
-    weight_matrix = layer_weight_matrix(layer)
-    if weight_matrix.shape != matrix.weights.shape:
-        raise MappingError(
-            f"split matrix shape {matrix.weights.shape} does not match "
-            f"layer weight matrix {weight_matrix.shape}"
-        )
-
-    def matrix_fn(bits: np.ndarray) -> np.ndarray:
-        _record_split(matrix, obs_index, cells_per_weight, bits)
-        return matrix.fire(bits)
-
-    def compute(inner_layer: Layer, x: np.ndarray) -> np.ndarray:
-        # The SplitMatrix folds the layer bias into its block sums, so the
-        # generic bias addition is disabled.
-        return apply_matrix_fn(inner_layer, x, matrix_fn, add_bias=False)
-
-    return compute
+    return _vote_compute(
+        layer, matrix, matrix.fire, obs_index, cells_per_weight
+    )
 
 
 def final_layer_vote_compute(
@@ -326,20 +327,6 @@ def final_layer_vote_compute(
     enables the same per-layer activity counters as
     :func:`split_layer_compute`.
     """
-    weight_matrix = layer_weight_matrix(layer)
-    if weight_matrix.shape != matrix.weights.shape:
-        raise MappingError(
-            f"split matrix shape {matrix.weights.shape} does not match "
-            f"layer weight matrix {weight_matrix.shape}"
-        )
-
-    def matrix_fn(bits: np.ndarray) -> np.ndarray:
-        _record_split(matrix, obs_index, cells_per_weight, bits)
-        return matrix.fired_counts(bits)
-
-    def compute(inner_layer: Layer, x: np.ndarray) -> np.ndarray:
-        return apply_matrix_fn(
-            inner_layer, x, matrix_fn, add_bias=False
-        )
-
-    return compute
+    return _vote_compute(
+        layer, matrix, matrix.fired_counts, obs_index, cells_per_weight
+    )

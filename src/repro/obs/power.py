@@ -61,9 +61,54 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-__all__ = ["record_mvm_batch", "estimate_from_metrics"]
+from repro.obs.recorder import active
+
+__all__ = ["record_layer", "record_mvm_batch", "estimate_from_metrics"]
 
 _LAYER_METRIC = re.compile(r"^hw/layer(\d+)/(\w+)$")
+
+
+def record_layer(
+    layer_index: Optional[int],
+    active_counts: Any,
+    *,
+    rows: int,
+    cols: int,
+    skip: Any = None,
+    **fields: Any,
+) -> None:
+    """The engines' one activity entry: record a layer call if recording.
+
+    Costs one ``None`` check while no recorder is active.
+    ``active_counts`` is the per-position active-row counts, or a
+    zero-argument callable producing them, so a kernel that does not
+    need the counts itself only reduces its rows while a recorder is
+    on.  ``skip`` is the call's :class:`repro.core.estimate.SkipStats`
+    (or ``None``); the other keywords pass through to
+    :func:`record_mvm_batch`.  Recording never touches an RNG, so traced
+    runs draw the same noise as untraced ones.
+    """
+    rec = active()
+    if rec is None or layer_index is None:
+        return
+    if callable(active_counts):
+        active_counts = active_counts()
+    if skip is not None:
+        fields.update(
+            skipped_rows=skip.skipped_rows,
+            skipped_slots=skip.skipped_slots,
+            est_positions=skip.est_positions,
+            est_decided=skip.est_decided,
+        )
+    record_mvm_batch(
+        rec.metrics,
+        layer_index,
+        None,
+        cols,
+        rows=rows,
+        active_counts=active_counts,
+        **fields,
+    )
 
 
 def record_mvm_batch(

@@ -15,6 +15,7 @@ import pytest
 from repro import obs
 from repro.core.engines import EngineSpec, compile_network
 from repro.core.estimate import (
+    MAX_K,
     EstimatorPolicy,
     PackedSuffixBounds,
     _suffix_bound_table,
@@ -50,7 +51,7 @@ class TestEstimatorPolicy:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"chunk_rows": 0}, {"group_check": 0}, {"max_k": -1}],
+        [{"chunk_rows": 0}, {"group_check": 0}, {"group_check": -1}],
     )
     def test_rejects_degenerate_knobs(self, kwargs):
         with pytest.raises(ConfigurationError, match=">= 1"):
@@ -92,9 +93,10 @@ class TestSuffixBoundTable:
 class TestPackedSuffixBounds:
     def test_bounds_bracket_every_pattern(self, rng):
         rows = rng.integers(-200, 201, size=(48, 5)).astype(np.int64)
-        policy = EstimatorPolicy(mode="exact", group_check=2, max_k=16)
+        policy = EstimatorPolicy(mode="exact", group_check=2)
         bounds = PackedSuffixBounds(rows, policy)
         assert bounds.boundaries == [2, 4]
+        assert bounds.cap == MAX_K
         for g in bounds.boundaries:
             suffix = rows[8 * g :]
             for _ in range(40):

@@ -14,11 +14,12 @@ the benchmarks use to qualify their claims:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import ConfigurationError, ShapeError
 
@@ -48,7 +49,7 @@ def wilson_interval(
     if not 0 < confidence < 1:
         raise ConfigurationError("confidence must be in (0, 1)")
 
-    z = float(scipy_stats.norm.ppf(0.5 + confidence / 2))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2)
     p_hat = errors / total
     denom = 1 + z**2 / total
     centre = (p_hat + z**2 / (2 * total)) / denom
@@ -111,10 +112,10 @@ def mcnemar_test(
     if n == 0:
         p_value = 1.0
     else:
+        # Exact Binomial(n, 1/2) lower tail in integer arithmetic.
         k = min(only_a, only_b)
-        p_value = float(
-            min(1.0, 2 * scipy_stats.binom.cdf(k, n, 0.5))
-        )
+        tail = sum(math.comb(n, i) for i in range(k + 1)) / 2**n
+        p_value = min(1.0, 2 * tail)
     return McNemarResult(
         only_a_correct=only_a, only_b_correct=only_b, p_value=p_value
     )

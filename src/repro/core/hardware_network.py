@@ -90,6 +90,11 @@ class HardwareConfig:
                 "partition_method must be 'natural' or 'homogenize', got "
                 f"{self.partition_method!r}"
             )
+        if self.homogenize_iterations < 0:
+            raise ConfigurationError(
+                "homogenize_iterations must be non-negative, got "
+                f"{self.homogenize_iterations}"
+            )
 
 
 class HardwareSplitMatrix(SplitMatrix):

@@ -85,6 +85,11 @@ class SplitConfig:
                 "partition_method must be 'natural', 'random' or "
                 f"'homogenize', got {self.partition_method!r}"
             )
+        if self.homogenize_iterations < 0:
+            raise ConfigurationError(
+                "homogenize_iterations must be non-negative, got "
+                f"{self.homogenize_iterations}"
+            )
         if self.final_layer_mode not in ("analog", "vote"):
             raise ConfigurationError(
                 "final_layer_mode must be 'analog' or 'vote', got "

@@ -20,6 +20,11 @@ class TestHardwareConfig:
         with pytest.raises(ConfigurationError):
             HardwareConfig(partition_method="random")
 
+    def test_negative_homogenize_iterations_rejected(self):
+        with pytest.raises(ConfigurationError, match="homogenize_iterations"):
+            HardwareConfig(homogenize_iterations=-1)
+        assert HardwareConfig(homogenize_iterations=0).homogenize_iterations == 0
+
 
 class TestHardwareSplitMatrix:
     def test_block_sums_close_to_exact(self, rng):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.configs import build_network
 from repro.core import (
     Partition,
     block_mean_distance,
@@ -13,7 +14,11 @@ from repro.core import (
     natural_partition,
     random_partition,
 )
+from repro.core.matrix_compute import layer_weight_matrix
+from repro.core.splitting import required_blocks
 from repro.errors import ConfigurationError, ShapeError
+from repro.nn import Conv2D, Dense
+from repro.zoo import quantized_cache_paths
 
 
 class TestPartition:
@@ -141,6 +146,93 @@ class TestHomogenize:
         p = homogenize(matrix, 4, iterations=200, seed=0)
         assert p.num_blocks == 4
         assert sorted(p.order.tolist()) == list(range(15))
+
+    @pytest.mark.parametrize("method", ["hillclimb", "genetic"])
+    def test_negative_iterations_rejected(self, rng, method):
+        with pytest.raises(ConfigurationError, match="iterations"):
+            homogenize(rng.normal(size=(6, 2)), 2, method=method, iterations=-5)
+
+    @pytest.mark.parametrize("population", [-1, 0, 1])
+    def test_genetic_population_below_two_rejected(self, rng, population):
+        with pytest.raises(ConfigurationError, match="population"):
+            homogenize(
+                rng.normal(size=(6, 2)),
+                2,
+                method="genetic",
+                iterations=3,
+                population=population,
+            )
+
+    def test_zero_iterations_is_natural_order(self, rng):
+        p = homogenize(rng.normal(size=(9, 2)), 3, iterations=0)
+        np.testing.assert_array_equal(p.order, np.arange(9))
+
+
+def _full_rescore_hillclimb(matrix, num_blocks, iterations, seed):
+    """The optimiser as it was before incremental scoring: every candidate
+    swap is re-scored over the whole partition.  Kept here as the oracle
+    the incremental loop must reproduce swap for swap."""
+    rng = np.random.default_rng(seed)
+    current = natural_partition(matrix.shape[0], num_blocks)
+    current_dist = block_mean_distance(matrix, current)
+    for _ in range(iterations):
+        i, j = rng.integers(0, matrix.shape[0], size=2)
+        if i == j:
+            continue
+        candidate = current.swapped(int(i), int(j))
+        dist = block_mean_distance(matrix, candidate)
+        if dist < current_dist:
+            current, current_dist = candidate, dist
+    return current
+
+
+class TestIncrementalHillclimbMatchesFullRescore:
+    """The incremental loop must accept exactly the swaps a full re-score
+    accepts: same floats, same comparisons, same returned order."""
+
+    @pytest.mark.parametrize(
+        "rows, blocks, iterations",
+        [
+            (36, 2, (0, 1, 300, 2000)),
+            (101, 3, (0, 1, 300)),  # ragged: 101 % 3 == 2
+            (250, 7, (0, 1, 300)),  # ragged: 250 % 7 == 5
+            (256, 16, (1, 150)),
+            (1024, 32, (1, 40)),
+            (70, 32, (1, 40)),  # ragged: blocks of 3 and 2 rows
+        ],
+    )
+    def test_random_matrices(self, rows, blocks, iterations, derived_rng):
+        matrix = derived_rng(rows, blocks).normal(size=(rows, 6))
+        for seed in (0, 1, 2):
+            for count in iterations:
+                np.testing.assert_array_equal(
+                    homogenize(matrix, blocks, iterations=count, seed=seed).order,
+                    _full_rescore_hillclimb(matrix, blocks, count, seed).order,
+                    err_msg=f"seed={seed} iterations={count}",
+                )
+
+    @pytest.mark.parametrize("name", ["network1", "network2", "network3"])
+    def test_split_layers_of_the_paper_networks(self, name):
+        network = build_network(name)
+        network.load(quantized_cache_paths(name)[0])
+        weighted = [
+            layer for layer in network.layers if isinstance(layer, (Conv2D, Dense))
+        ]
+        checked = 0
+        for crossbar in (512, 128):
+            for layer in weighted[1:]:
+                matrix = layer_weight_matrix(layer)
+                blocks = required_blocks(matrix.shape[0], crossbar)
+                if blocks <= 1:
+                    continue
+                iterations = 300 if blocks < 32 else 60
+                np.testing.assert_array_equal(
+                    homogenize(matrix, blocks, iterations=iterations).order,
+                    _full_rescore_hillclimb(matrix, blocks, iterations, 0).order,
+                    err_msg=f"{name} crossbar={crossbar} blocks={blocks}",
+                )
+                checked += 1
+        assert checked >= 3
 
 
 @settings(max_examples=20, deadline=None)

@@ -16,6 +16,10 @@ class TestSplitConfig:
         with pytest.raises(ConfigurationError):
             SplitConfig(final_layer_mode="adc")
 
+    def test_negative_homogenize_iterations_rejected(self):
+        with pytest.raises(ConfigurationError, match="homogenize_iterations"):
+            SplitConfig(homogenize_iterations=-1)
+
 
 @pytest.fixture(scope="module")
 def split_inputs(request):

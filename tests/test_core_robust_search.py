@@ -1,8 +1,14 @@
 """Tests for repro.core.robust_search and repro.analysis.stats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import mcnemar_test, paired_disagreement, wilson_interval
 from repro.core import RobustSearchConfig, SearchConfig, robustify_thresholds
 from repro.core.robust_search import estimate_sei_output_noise_std
@@ -121,6 +127,25 @@ class TestWilsonInterval:
         with pytest.raises(ConfigurationError):
             wilson_interval(1, 10, confidence=1.5)
 
+    # scipy.stats.norm.ppf-based bounds, recorded with scipy 1.17.1.
+    @pytest.mark.parametrize(
+        "errors, total, confidence, expected",
+        [
+            (0, 100, 0.95, (3.469446951953614e-18, 0.03699349820698568)),
+            (3, 120, 0.95, (0.008538174769902228, 0.0709300333278661)),
+            (17, 1000, 0.9, (0.011463017043479767, 0.025143485926128896)),
+            (250, 500, 0.99, (0.4427810961454962, 0.5572189038545038)),
+            (1000, 1000, 0.95, (0.996173241514445, 1.0)),
+            (42, 10000, 0.999, (0.0025428180425709247, 0.006929682162218469)),
+        ],
+    )
+    def test_matches_scipy_reference(self, errors, total, confidence, expected):
+        # abs covers the zero-error lower bound, which is cancellation
+        # noise around 0 in either implementation.
+        assert wilson_interval(errors, total, confidence) == pytest.approx(
+            expected, rel=1e-12, abs=1e-15
+        )
+
 
 class TestMcNemar:
     def test_identical_classifiers(self):
@@ -149,8 +174,44 @@ class TestMcNemar:
         assert result.only_a_correct == result.only_b_correct == 5
         assert not result.significant
 
+    # 2 * scipy.stats.binom.cdf(min(b, c), b + c, 0.5), recorded with
+    # scipy 1.17.1.
+    @pytest.mark.parametrize(
+        "only_a, only_b, expected",
+        [
+            (1, 0, 1.0),
+            (3, 9, 0.14599609375),
+            (7, 23, 0.005222879350185395),
+            (40, 60, 0.05688793364098089),
+            (123, 177, 0.002161138741240763),
+            (499, 501, 0.9747749818216395),
+        ],
+    )
+    def test_p_value_matches_scipy_reference(self, only_a, only_b, expected):
+        labels = np.zeros(only_a + only_b + 5, dtype=int)
+        a = labels.copy()
+        b = labels.copy()
+        a[only_a : only_a + only_b] = 1
+        b[:only_a] = 1
+        result = mcnemar_test(a, b, labels)
+        assert (result.only_a_correct, result.only_b_correct) == (only_a, only_b)
+        assert result.p_value == pytest.approx(expected, rel=1e-12)
+
     def test_paired_disagreement_shape_check(self):
         with pytest.raises(Exception):
             paired_disagreement(
                 np.zeros(3), np.zeros(4), np.zeros(3)
             )
+
+
+def test_import_does_not_load_scipy():
+    """numpy is the only declared runtime dependency."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, repro; print('scipy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

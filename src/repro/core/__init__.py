@@ -19,7 +19,6 @@ from repro.core.finetune import (
 from repro.core.hardware_network import (
     HardwareConfig,
     HardwareSplitMatrix,
-    adc_layer_compute,
     assemble_adc_network,
     assemble_sei_network,
 )
@@ -40,7 +39,7 @@ from repro.core.homogenize import (
     natural_partition,
     random_partition,
 )
-from repro.core.matrix_compute import apply_matrix_fn, layer_bias, layer_weight_matrix
+from repro.core.matrix_compute import layer_bias, layer_weight_matrix
 from repro.core.pipeline import (
     SplitConfig,
     SplitLayerReport,
@@ -95,7 +94,6 @@ __all__ = [
     "SplitLayerReport",
     "SplitNetworkResult",
     "build_split_network",
-    "apply_matrix_fn",
     "layer_weight_matrix",
     "layer_bias",
     "FinetuneConfig",
@@ -116,5 +114,4 @@ __all__ = [
     "HardwareSplitMatrix",
     "assemble_sei_network",
     "assemble_adc_network",
-    "adc_layer_compute",
 ]

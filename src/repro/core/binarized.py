@@ -34,6 +34,9 @@ from repro.errors import QuantizationError, ShapeError
 from repro.nn.layers import Conv2D, Dense, Flatten, Layer, MaxPool2D, ReLU
 from repro.nn.losses import error_rate
 from repro.nn.network import Sequential
+from repro.obs.power import record_layer
+
+from repro.core.matrix_compute import RowPlan, Scratch, ensure_binary
 
 __all__ = [
     "intermediate_quantizable_indices",
@@ -78,7 +81,6 @@ def binarize(values: np.ndarray, threshold: float) -> np.ndarray:
 
 def or_pool(bits: np.ndarray, pool: int, stride: Optional[int] = None) -> np.ndarray:
     """Max pooling of 1-bit data == logical OR over the window (§3.1)."""
-    from repro.core.matrix_compute import ensure_binary
     from repro.nn.functional import maxpool2d_forward
 
     ensure_binary(bits, "or_pool inputs")
@@ -124,17 +126,18 @@ class BinarizedNetwork:
         # Weighted layers whose inputs are 1-bit selection signals (some
         # earlier weighted layer is thresholded): these are the layers the
         # SEI structure input-switches, so software-only inference can
-        # still report row-activity statistics for them.
+        # still report row-activity statistics for them, gathered through
+        # each layer's row plan.
         weighted = [
             i
             for i, layer in enumerate(self.network.layers)
             if isinstance(layer, (Conv2D, Dense))
         ]
-        self._obs_sei_layers = frozenset(
-            i
+        self._obs_plans = {
+            i: RowPlan()
             for i in weighted
             if any(j < i and j in self.thresholds for j in weighted)
-        )
+        }
 
     # -- execution -------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -206,42 +209,25 @@ class BinarizedNetwork:
         steps = 2**self.input_bits - 1
         return np.rint(np.clip(x, 0.0, 1.0) * steps) / steps
 
-    def _record_sei_layer(self, index: int, layer: Layer,
-                          x: np.ndarray) -> None:
-        """Row-activity counters for a software-simulated SEI layer.
-
-        Uses the canonical 8-bit-weight / 4-bit-cell signed layout (4
-        cells per weight, the Table 5 configuration) since the software
-        path carries no device model.
-        """
-        from repro.nn.functional import im2col
-        from repro.obs.power import record_layer
-
-        if isinstance(layer, Conv2D):
-            bits = im2col(
-                x, layer.kernel_size, layer.kernel_size,
-                layer.stride, layer.padding,
-            )
-            cols = layer.out_channels
-        else:
-            bits = x
-            cols = layer.out_features
-        record_layer(
-            index, lambda: bits.sum(axis=1), rows=bits.shape[1], cols=cols,
-            cells_per_weight=4,
-        )
-
     def _run_layer(self, index: int, layer: Layer, x: np.ndarray) -> np.ndarray:
         compute = self.layer_computes.get(index)
         if isinstance(layer, (Conv2D, Dense)):
             if compute is not None:
                 x = compute(layer, x)
             else:
-                # The unfold only runs while a recorder is on.
+                # Row-activity counters for a software-simulated SEI
+                # layer, gathered only while a recorder is on, in the
+                # canonical 8-bit-weight / 4-bit-cell signed layout (4
+                # cells per weight, the Table 5 configuration): the
+                # software path carries no device model.
                 if obs.active() is not None and index in getattr(
-                    self, "_obs_sei_layers", ()
+                    self, "_obs_plans", ()
                 ):
-                    self._record_sei_layer(index, layer, x)
+                    bits = self._obs_plans[index].gather(layer, x, Scratch())
+                    record_layer(
+                        index, lambda: bits.sum(axis=1), rows=bits.shape[1],
+                        cols=layer.weight_matrix.shape[1], cells_per_weight=4,
+                    )
                 x = layer.forward(x)
             if index in self.thresholds and index not in self.prebinarized:
                 # ReLU is merged into this comparison: relu is monotonic

@@ -37,9 +37,12 @@ from repro.hw.device import RRAMDevice
 from repro.nn.layers import Layer
 
 from repro.core.matrix_compute import (
-    apply_matrix_fn,
+    LayerKernel,
+    RowPlan,
+    Tally,
     ensure_binary,
     layer_bias,
+    layer_compute,
     layer_weight_matrix,
 )
 from repro.core.sei import decompose_weights
@@ -292,13 +295,15 @@ def dynamic_threshold_layer_compute(
 
     The hook returns the signed pre-threshold values, so the surrounding
     :class:`BinarizedNetwork` applies the same threshold and produces
-    exactly the bits the Fig. 4 sense amplifiers would.
+    exactly the bits the Fig. 4 sense amplifiers would.  It runs
+    :meth:`DynamicThresholdMatrix.compute` on the planned rows through
+    :func:`repro.core.matrix_compute.layer_compute` and records nothing.
     """
     matrix = DynamicThresholdMatrix(
         layer_weight_matrix(layer),
         threshold=threshold,
-        # apply_matrix_fn adds the layer bias; the matrix stays biasless
-        # to avoid double counting.
+        # The kernel adds the layer bias; the matrix stays biasless to
+        # avoid double counting.
         bias=None,
         device=device,
         weight_bits=weight_bits,
@@ -306,7 +311,13 @@ def dynamic_threshold_layer_compute(
         rng=rng,
     )
 
-    def compute(inner_layer: Layer, x: np.ndarray) -> np.ndarray:
-        return apply_matrix_fn(inner_layer, x, matrix.compute)
+    def run(bits: np.ndarray):
+        # matrix.compute validates the 0/1 selection signals itself.
+        return matrix.compute(bits), Tally(lambda: bits.sum(axis=1))
 
-    return compute
+    kernel = LayerKernel(
+        run, RowPlan(), lambda x: x,
+        dict(rows=matrix.logical_rows, cols=matrix.cols),
+        bias=layer_bias(layer),
+    )
+    return layer_compute(None, kernel)

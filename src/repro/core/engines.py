@@ -32,6 +32,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.hw.tech import TechnologyModel
 from repro.core.binarized import BinarizedNetwork
 from repro.core.estimate import EstimatorPolicy
 from repro.core.hardware_network import (
@@ -300,8 +301,8 @@ def _build_adc(
             "the 'adc' engine digitises full column sums and supports no "
             "runtime activation estimator; use the fused or packed engine"
         )
-    temporal = spec.hardware.temporal
-    if temporal is not None and temporal.enabled:
+    hardware = spec.hardware
+    if hardware.temporal is not None and hardware.temporal.enabled:
         raise ConfigurationError(
             "the 'adc' engine calibrates its converter ranges against "
             "static cells; temporal aging requires the fused or "
@@ -310,7 +311,10 @@ def _build_adc(
     return assemble_adc_network(
         network,
         thresholds=thresholds,
-        device=spec.hardware.device,
+        tech=TechnologyModel(
+            cell_bits=hardware.device.bits, weight_bits=hardware.weight_bits
+        ),
+        device=hardware.device,
         data_bits=spec.data_bits,
         calibration_images=calibration_images,
         rng=rng,

@@ -11,18 +11,19 @@ used to build up the SPICE-level crossbar array"):
   split into blocks, each block its *own* SEI crossbar feeding its own
   sense amplifiers, merged by the §4.3 digital vote — the complete
   Fig. 2(d) structure with non-ideal silicon underneath.
-* :func:`adc_layer_compute` / :func:`assemble_adc_network` — the
-  functional model of the traditional designs: activations quantized by
-  the DACs, weights on bit-sliced positive/negative crossbars, column
-  currents digitised by ADCs and merged digitally.  Used to check that
-  the baseline's accuracy matches the float network (the premise of
-  Table 5's error-rate column).
+* :func:`assemble_adc_network` — the functional model of the
+  traditional designs: activations quantized by the DACs, weights on
+  bit-sliced positive/negative crossbars, column currents digitised by
+  ADCs and merged digitally.  Used to check that the baseline's accuracy
+  matches the float network (the premise of Table 5's error-rate
+  column).
 
 The SEI engines share one lowering path: :func:`lower_sei_network`
 programs the crossbars once and records each weighted layer as one of
 four kinds (``dac`` / ``unsplit`` / ``split`` / ``analog_merge``); an
-engine then supplies only each kind's kernel, and every layer runs the
-one compute of :func:`repro.core.matrix_compute.layer_compute`.
+engine then supplies only each kind's kernel.  Every weighted layer of
+every engine, the adc one included, runs the one compute of
+:func:`repro.core.matrix_compute.layer_compute`.
 """
 
 from __future__ import annotations
@@ -49,21 +50,29 @@ from repro.core.matrix_compute import (
     RowPlan,
     Scratch,
     Tally,
-    apply_matrix_fn,
     binary_inputs,
     layer_bias,
     layer_compute,
     layer_weight_matrix,
 )
-from repro.core.sei import SEIMatrix, decompose_weights
-from repro.core.splitting import SplitDecision, SplitMatrix, required_blocks
+from repro.core.sei import (
+    SEIMatrix,
+    decompose_weights,
+    layer_meter,
+    sei_kernel,
+)
+from repro.core.splitting import (
+    SplitDecision,
+    SplitMatrix,
+    required_blocks,
+    vote_kernel,
+)
 
 __all__ = [
     "HardwareConfig",
     "HardwareSplitMatrix",
     "DacCrossbar",
     "assemble_sei_network",
-    "adc_layer_compute",
     "assemble_adc_network",
 ]
 
@@ -512,20 +521,6 @@ def folds_threshold(threshold: Optional[float]) -> bool:
     return threshold is not None and 0.0 <= float(threshold) < 1.0
 
 
-def layer_meter(crossbars, rows: int, blocks: int = 1, **fields) -> dict:
-    """The static recorder fields of a layer on SEI ``crossbars``."""
-    return dict(
-        rows=rows,
-        cols=crossbars[0].cols,
-        blocks=blocks,
-        cells_per_weight=crossbars[0].cells_per_weight,
-        noise_draws=sum(
-            xbar.num_cells for xbar in crossbars if xbar.fused_matrix is None
-        ),
-        **fields,
-    )
-
-
 def all_rows_active(rows: np.ndarray):
     """Active counts of a DAC-driven layer: every row, every position."""
     return lambda: np.full(rows.shape[0], rows.shape[1])
@@ -567,16 +562,7 @@ def _fused_dac(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
 
 
 def _fused_unsplit(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
-    xbar = record["crossbar"]
-
-    def run(bits: np.ndarray):
-        return xbar.column_sums(bits), Tally(lambda: bits.sum(axis=1))
-
-    return LayerKernel(
-        run, RowPlan(), binary_inputs("SEI inputs"),
-        layer_meter([xbar], xbar.logical_rows),
-        arrays=(xbar.array,), bias=layer_bias(record["layer"]),
-    )
+    return sei_kernel(record["crossbar"], layer_bias(record["layer"]))
 
 
 def _fused_split(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
@@ -584,10 +570,11 @@ def _fused_split(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
 
     The plan gathers the padded ``(n·P, K, H)`` block layout, the K
     block dgemms write into per-thread scratch, and the kernel returns
-    the fired-block counts; the compute's vote writes them as a fresh
-    float64 0/1 plane in the layer's output layout — the data the outer
-    binarize would write, so a threshold in ``[0, 1)`` folds
-    (``prebinarized``).
+    the fired-block counts (:func:`repro.core.splitting.vote_kernel`, the
+    kernel of the software split hooks too); the compute's vote writes
+    them as a fresh float64 0/1 plane in the layer's output layout — the
+    data the outer binarize would write, so a threshold in ``[0, 1)``
+    folds (``prebinarized``).
     """
     split = record["matrix"]
     scratch = Scratch()
@@ -595,26 +582,8 @@ def _fused_split(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
     num_blocks = split.num_blocks
     cols = split.cols
 
-    def off_counts(gathered: np.ndarray):
-        # select rows -> accumulate -> decide -> count votes, all in
-        # per-thread scratch; the block dgemms see the same operands as
-        # split.block_bits, so the decisions are bit-identical.
-        ones = gathered.sum(axis=2)
-        sums = split._sums_from_gathered(
-            gathered,
-            out=scratch.get(
-                "sums", (gathered.shape[0], num_blocks, cols), np.float64
-            ),
-        )
-        fired = scratch.get("fired", sums.shape, np.bool_)
-        np.greater(
-            sums, split.decision.thresholds_for(ones)[:, :, None], out=fired
-        )
-        counts = fired.sum(axis=1, dtype=np.uint8)
-        return counts, Tally(lambda: ones.sum(axis=1))
-
     # ``kernel`` maps the layer's planned rows to per-position vote counts.
-    kernel = off_counts
+    kernel = vote_kernel(split, scratch)
     # Estimator hook-in: the deferred-block vote schedule (§4.3 vote-level
     # early termination).  A position whose vote is settled (counts >= V,
     # or mathematically unreachable) skips its remaining block crossbars
@@ -879,46 +848,30 @@ _REFERENCE = {
 # -- the traditional (ADC) designs, functionally --------------------------------
 
 
-def adc_layer_compute(
-    layer: Layer,
-    tech: Optional[TechnologyModel] = None,
-    device: Optional[RRAMDevice] = None,
-    data_bits: int = 8,
-    calibration: Optional[np.ndarray] = None,
-    rng: Optional[np.random.Generator] = None,
-):
-    """Functional model of one DAC+crossbar+ADC layer (Fig. 2a/b).
+def _adc_kernel(
+    layer: Layer, xbar: DacCrossbar, calibration: Optional[np.ndarray]
+) -> LayerKernel:
+    """One DAC+crossbar+ADC layer (Fig. 2a/b) on a :class:`DacCrossbar`.
 
-    Activations pass through ``data_bits`` DACs; each weight bit-slice
+    Activations pass through the crossbar's DACs; each weight bit-slice
     lives on a positive and a negative crossbar; every crossbar column is
     digitised by an 8-bit ADC before the digital shift/add/subtract
     merge.
 
     ADC full scale: designs calibrate each converter's range to the
     currents it actually sees, not the theoretical worst case — sparse
-    layers would otherwise waste most of their codes.  Pass
-    ``calibration`` (example crossbar input rows, ``(n, rows)``) to set
-    the per-slice range from the observed maxima (with 25% headroom);
-    without it the range defaults to the all-inputs-high worst case.
+    layers would otherwise waste most of their codes.  ``calibration``
+    (example layer inputs) sets the per-slice range from the maxima over
+    its planned rows (with 25% headroom); without it the range defaults
+    to the all-inputs-high worst case.
     """
-    tech = tech if tech is not None else TechnologyModel()
-    device = device if device is not None else RRAMDevice(bits=tech.cell_bits)
-    rng = rng if rng is not None else np.random.default_rng()
-
-    matrix = layer_weight_matrix(layer)
-    slices, coefficients, scale = decompose_weights(
-        matrix, tech.weight_bits, device.bits
-    )
-    # Program each slice crossbar through a (static) device array.
-    array = make_array(device, rng=rng)
-    array.program(slices, rng)
-    programmed = array.normalized
-    dac = DAC(bits=data_bits)
+    plan = RowPlan()
+    scratch = Scratch()
+    programmed = xbar.array.normalized
     adc = ADC(bits=8)
-    cell_max = 2**device.bits - 1
-
+    cell_max = xbar.cell_max
     if calibration is not None:
-        driven = dac.quantize(np.clip(np.asarray(calibration), 0.0, 1.0))
+        driven = plan.gather(layer, xbar.quantize(calibration), scratch)
         full_scales = [
             max(float(((driven @ cells) * cell_max).max()) * 1.25, 1e-12)
             for cells in programmed
@@ -930,23 +883,20 @@ def adc_layer_compute(
             for cells in programmed
         ]
 
-    def matrix_fn(x: np.ndarray) -> np.ndarray:
-        driven = dac.quantize(np.clip(x, 0.0, 1.0))
-        out = np.zeros(x.shape[:-1] + (matrix.shape[1],))
+    def run(driven: np.ndarray):
+        out = np.zeros((driven.shape[0], xbar.cols))
         for coeff, cells, full_scale in zip(
-            coefficients, programmed, full_scales
+            xbar.coefficients, programmed, full_scales
         ):
             currents = (driven @ cells) * cell_max
             digitised = adc.quantize(currents, full_scale)
             out = out + coeff * digitised
-        array.note_reads(driven.shape[0] if driven.ndim > 1 else 1)
-        return out * scale
+        return out * xbar.scale, Tally(all_rows_active(driven))
 
-    def compute(inner_layer: Layer, x: np.ndarray) -> np.ndarray:
-        return apply_matrix_fn(inner_layer, x, matrix_fn)
-
-    compute.array = array
-    return compute
+    return LayerKernel(
+        run, plan, xbar.quantize, xbar.meter(),
+        arrays=(xbar.array,), bias=layer_bias(layer), scratch=scratch,
+    )
 
 
 def assemble_adc_network(
@@ -972,13 +922,19 @@ def assemble_adc_network(
     The *input picture* always passes through 8-bit DACs (§3.2 — it
     needs high precision in every design); ``data_bits`` describes the
     intermediate-data precision, which the thresholds already enforce in
-    the 1-bit case.
+    the 1-bit case.  Weights are decomposed at ``tech.weight_bits`` onto
+    ``device`` cells (by default ``tech.cell_bits`` ones).
+
+    Each layer is a :class:`DacCrossbar` whose kernel runs through
+    :func:`repro.core.matrix_compute.layer_compute`; nothing is recorded.
 
     Note the full-precision path still assumes inputs to each crossbar
     lie in [0, 1] — true for the paper's networks only after
     :func:`repro.core.rescale.rescale_network`-style normalisation, so
     callers should pass a re-scaled network.
     """
+    tech = tech if tech is not None else TechnologyModel()
+    device = device if device is not None else RRAMDevice(bits=tech.cell_bits)
     rng = rng if rng is not None else np.random.default_rng(0)
     input_bits = 8
     binarized = BinarizedNetwork(
@@ -997,38 +953,21 @@ def assemble_adc_network(
     first_weighted = True
     for index, layer in enumerate(network.layers):
         if isinstance(layer, (Conv2D, Dense)):
-            layer_calibration = None
-            if calibration_flow is not None:
-                layer_calibration = _as_matrix_rows(layer, calibration_flow)
-            layer_compute = adc_layer_compute(
-                layer,
-                tech=tech,
-                device=device,
+            xbar = DacCrossbar(
+                layer_weight_matrix(layer), device, tech.weight_bits, rng,
                 # The input layer's DACs are always 8-bit (§3.2).
                 data_bits=input_bits if first_weighted else data_bits,
-                calibration=layer_calibration,
-                rng=rng,
             )
-            binarized.layer_computes[index] = layer_compute
-            device_arrays[f"layer{index}"] = layer_compute.array
+            binarized.layer_computes[index] = layer_compute(
+                None, _adc_kernel(layer, xbar, calibration_flow)
+            )
+            device_arrays[f"layer{index}"] = xbar.array
             first_weighted = False
         if calibration_flow is not None:
             # Propagate the calibration batch through the (now hooked)
             # layer so deeper layers calibrate on realistic inputs.
             calibration_flow = binarized.run_layer(index, calibration_flow)
     return binarized
-
-
-def _as_matrix_rows(layer: Layer, x: np.ndarray) -> np.ndarray:
-    """A layer's input activations as crossbar input rows (im2col'd)."""
-    if isinstance(layer, Dense):
-        return x
-    assert isinstance(layer, Conv2D)
-    from repro.nn.functional import im2col
-
-    return im2col(
-        x, layer.kernel_size, layer.kernel_size, layer.stride, layer.padding
-    )
 
 
 def _plain_wrapper(network: Sequential, data_bits: int) -> BinarizedNetwork:

@@ -3,9 +3,11 @@
 The paper treats every weighted layer as a matrix-vector multiplication:
 FC layers natively, Conv layers through the im2col view (each output
 position is one MVM against the ``(S*S*I, kernels)`` weight matrix).  The
-hardware structures (SEI, splitting) are therefore defined on matrices;
-this module adapts them to the two layer types so they can be plugged into
-:class:`repro.core.binarized.BinarizedNetwork` as layer computes.
+hardware structures (SEI, splitting, the DAC+ADC baseline) are therefore
+defined on matrices; every one of them is lowered to a
+:class:`LayerKernel` and plugged into
+:class:`repro.core.binarized.BinarizedNetwork` through the one
+:func:`layer_compute`.
 """
 
 from __future__ import annotations
@@ -22,23 +24,17 @@ from repro.nn.layers import Conv2D, Dense, Layer
 from repro.obs.power import record_layer
 
 __all__ = [
-    "MatrixFn",
     "Scratch",
     "RowPlan",
     "Tally",
     "LayerKernel",
     "binary_inputs",
     "layer_compute",
-    "apply_matrix_fn",
     "fold_rows",
     "ensure_binary",
     "layer_weight_matrix",
     "layer_bias",
 ]
-
-#: A function mapping a batch of input rows ``(N, rows)`` to output values
-#: ``(N, cols)`` — the hardware model of one weight matrix.
-MatrixFn = Callable[[np.ndarray], np.ndarray]
 
 
 def ensure_binary(bits: np.ndarray, what: str = "inputs") -> None:
@@ -70,45 +66,6 @@ def layer_bias(layer: Layer) -> np.ndarray:
         cols = layer.weight_matrix.shape[1]
         return np.zeros(cols)
     return bias
-
-
-def apply_matrix_fn(
-    layer: Layer,
-    x: np.ndarray,
-    fn: MatrixFn,
-    add_bias: bool = True,
-) -> np.ndarray:
-    """Run a layer's forward pass with ``fn`` replacing the matrix product.
-
-    For Dense the input is used directly; for Conv2D the input feature
-    maps are unfolded with im2col (the same receptive fields the crossbar
-    sees position by position), ``fn`` is applied to all positions at
-    once, and the result is folded back into output feature maps.  The
-    layer's bias is added afterwards (the paper keeps biases only in FC
-    layers; Equ. 6 folds them into the threshold, which is numerically
-    identical) unless the hardware model already accounts for it
-    (``add_bias=False``).
-    """
-    if isinstance(layer, Dense):
-        if x.ndim != 2 or x.shape[1] != layer.in_features:
-            raise ShapeError(
-                f"Dense hardware compute expects (n, {layer.in_features}), "
-                f"got {x.shape}"
-            )
-        out = fn(x)
-        return out + layer_bias(layer) if add_bias else out
-
-    if isinstance(layer, Conv2D):
-        kernel = layer.kernel_size
-        cols = F.im2col(x, kernel, kernel, layer.stride, layer.padding)
-        out = fn(cols)
-        if add_bias:
-            out = out + layer_bias(layer)
-        return np.ascontiguousarray(fold_rows(layer, x.shape, out))
-
-    raise ShapeError(
-        f"cannot apply a matrix compute to {type(layer).__name__}"
-    )
 
 
 def fold_rows(
@@ -319,12 +276,14 @@ def binary_inputs(what: str) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def layer_compute(index: Optional[int], kernel: LayerKernel):
-    """The one layer compute every SEI engine runs.
+    """The one layer compute every crossbar model runs.
 
     validate → :meth:`RowPlan.gather` → kernel → ``note_reads`` →
     record (:func:`repro.obs.power.record_layer`) → bias →
-    :func:`fold_rows` → vote.  The engines differ only in the
-    :class:`LayerKernel` they lower each layer to.
+    :func:`fold_rows` → vote.  The engines (and the software hooks of
+    :mod:`repro.core.sei`, :mod:`repro.core.dynamic_threshold` and
+    :mod:`repro.core.splitting`) differ only in the :class:`LayerKernel`
+    they lower each layer to.  ``index=None`` records nothing.
     """
     plan, run, arrays, vote = (
         kernel.plan, kernel.run, kernel.arrays, kernel.vote

@@ -68,7 +68,6 @@ from repro.core.estimate import (
 from repro.core.hardware_network import (
     all_rows_active,
     folds_threshold,
-    layer_meter,
     lower_fused,
     lower_sei_network,
     skip_binary_relus,
@@ -82,6 +81,7 @@ from repro.core.matrix_compute import (
     ensure_binary,
     layer_bias,
 )
+from repro.core.sei import layer_meter
 
 __all__ = [
     "build_group_tables",

@@ -24,8 +24,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.nn import functional as F
-from repro.nn.layers import Conv2D, Dense, Layer
+from repro.nn.layers import Conv2D, Dense
 from repro.nn.losses import accuracy
 from repro.nn.network import Sequential
 
@@ -37,7 +36,13 @@ from repro.core.homogenize import (
     natural_partition,
     random_partition,
 )
-from repro.core.matrix_compute import layer_bias, layer_weight_matrix
+from repro.core.matrix_compute import (
+    RowPlan,
+    Scratch,
+    fold_rows,
+    layer_bias,
+    layer_weight_matrix,
+)
 from repro.core.splitting import (
     SplitDecision,
     SplitMatrix,
@@ -318,28 +323,12 @@ def _layer_input_bits(
         )
     x = captured[layer_index]
     layer = binarized.network.layers[layer_index]
-
-    if isinstance(layer, Dense):
-        def fold(out: np.ndarray) -> np.ndarray:
-            return out
-
-        return x, fold
-
-    assert isinstance(layer, Conv2D)
-    n, c, h, w = x.shape
-    kernel = layer.kernel_size
-    out_h = F.conv_output_size(h, kernel, layer.stride, layer.padding)
-    out_w = F.conv_output_size(w, kernel, layer.stride, layer.padding)
-    cols = F.im2col(x, kernel, kernel, layer.stride, layer.padding)
+    bits = RowPlan().gather(layer, x, Scratch())
 
     def fold(out: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(
-            out.reshape(n, out_h, out_w, layer.out_channels).transpose(
-                0, 3, 1, 2
-            )
-        )
+        return np.ascontiguousarray(fold_rows(layer, x.shape, out))
 
-    return cols, fold
+    return bits, fold
 
 
 def _tail_accuracy(

@@ -115,8 +115,7 @@ def robustify_thresholds(
     it is DAC-driven (§3.2) and lies outside the selected-by-input error
     chain this calibration models.
     """
-    from repro.core.matrix_compute import apply_matrix_fn
-    from repro.core.sei import SEIMatrix
+    from repro.core.sei import sei_layer_compute
     from repro.hw.device import RRAMDevice
 
     config = config if config is not None else RobustSearchConfig()
@@ -144,16 +143,14 @@ def robustify_thresholds(
             device = RRAMDevice(
                 bits=config.cell_bits, program_sigma=config.program_sigma
             )
-            sei = SEIMatrix(
-                layer_weight_matrix(layer),
+            compute = sei_layer_compute(
+                layer,
                 device=device,
                 weight_bits=config.weight_bits,
                 max_crossbar_size=1 << 20,
                 rng=np.random.default_rng(config.seed * 1000 + trial),
             )
-            trial_pre_acts.append(
-                apply_matrix_fn(layer, layer_input, sei.compute)
-            )
+            trial_pre_acts.append(compute(layer, layer_input))
 
         for t in candidates:
             scores = []

@@ -35,8 +35,13 @@ from repro.hw.device import RRAMDevice
 from repro.nn.layers import Layer
 
 from repro.core.matrix_compute import (
-    apply_matrix_fn,
+    LayerKernel,
+    RowPlan,
+    Tally,
+    binary_inputs,
     ensure_binary,
+    layer_bias,
+    layer_compute,
     layer_weight_matrix,
 )
 
@@ -379,6 +384,34 @@ class SEIMatrix:
         return bits
 
 
+def layer_meter(crossbars, rows: int, blocks: int = 1, **fields) -> dict:
+    """The static recorder fields of a layer on SEI ``crossbars``."""
+    return dict(
+        rows=rows,
+        cols=crossbars[0].cols,
+        blocks=blocks,
+        cells_per_weight=crossbars[0].cells_per_weight,
+        noise_draws=sum(
+            xbar.num_cells for xbar in crossbars if xbar.fused_matrix is None
+        ),
+        **fields,
+    )
+
+
+def sei_kernel(matrix: SEIMatrix, bias: np.ndarray) -> LayerKernel:
+    """The :class:`LayerKernel` of a layer on one unsplit SEI crossbar:
+    the fused crossbar pass over every planned receptive field."""
+
+    def run(bits: np.ndarray):
+        return matrix.column_sums(bits), Tally(lambda: bits.sum(axis=1))
+
+    return LayerKernel(
+        run, RowPlan(), binary_inputs("SEI inputs"),
+        layer_meter([matrix], matrix.logical_rows),
+        arrays=(matrix.array,), bias=bias,
+    )
+
+
 def sei_layer_compute(
     layer: Layer,
     device: Optional[RRAMDevice] = None,
@@ -391,9 +424,11 @@ def sei_layer_compute(
 
     Raises :class:`MappingError` if the layer needs splitting; use
     :func:`repro.core.splitting.split_layer_compute` in that case.  The
-    hook exposes its backing structure as ``compute.matrix`` (and the
-    live device array as ``compute.array``) so aging campaigns can
-    advance the device clock between inference passes.
+    hook runs the fused engine's unsplit kernel (:func:`sei_kernel`)
+    through :func:`repro.core.matrix_compute.layer_compute` and records
+    nothing.  It exposes its backing structure as ``compute.matrix``
+    (and the live device array as ``compute.array``) so aging campaigns
+    can advance the device clock between inference passes.
     """
     matrix = SEIMatrix(
         layer_weight_matrix(layer),
@@ -403,10 +438,7 @@ def sei_layer_compute(
         rng=rng,
         temporal=temporal,
     )
-
-    def compute(inner_layer: Layer, x: np.ndarray) -> np.ndarray:
-        return apply_matrix_fn(inner_layer, x, matrix.compute)
-
+    compute = layer_compute(None, sei_kernel(matrix, layer_bias(layer)))
     compute.matrix = matrix
     compute.array = matrix.array
     return compute

@@ -32,21 +32,23 @@ up to ~50% accuracy) and repaired by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from math import ceil
-from typing import Dict, List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, MappingError, ShapeError
 from repro.nn.layers import Layer
-from repro.obs.power import record_layer
 
-from repro.core.homogenize import Partition, natural_partition
+from repro.core.homogenize import Partition
 from repro.core.matrix_compute import (
-    apply_matrix_fn,
-    ensure_binary,
-    layer_bias,
+    LayerKernel,
+    RowPlan,
+    Scratch,
+    Tally,
+    binary_inputs,
+    layer_compute,
     layer_weight_matrix,
 )
 
@@ -260,17 +262,48 @@ class SplitMatrix:
         ).astype(np.float64)
 
 
-def _vote_compute(
+def vote_kernel(split: SplitMatrix, scratch: Scratch, dtype=np.uint8):
+    """The §4.3 block vote on planned rows: per-position fired-block counts.
+
+    The returned ``run`` maps the padded ``(n·P, K, H)`` block layout of
+    ``RowPlan(split._gather)`` to the ``(n·P, cols)`` counts (in
+    ``dtype``) and a :class:`Tally`.  It selects rows, accumulates,
+    decides and counts votes, all in ``scratch``; the block dgemms see
+    the same operands as :meth:`SplitMatrix.block_bits`, so the
+    decisions are bit-identical.  The fused engine's split layer and the
+    software split hooks share it.
+    """
+    num_blocks, cols = split.num_blocks, split.cols
+
+    def run(gathered: np.ndarray):
+        ones = gathered.sum(axis=2)
+        sums = split._sums_from_gathered(
+            gathered,
+            out=scratch.get(
+                "sums", (gathered.shape[0], num_blocks, cols), np.float64
+            ),
+        )
+        fired = scratch.get("fired", sums.shape, np.bool_)
+        np.greater(
+            sums, split.decision.thresholds_for(ones)[:, :, None], out=fired
+        )
+        return fired.sum(axis=1, dtype=dtype), Tally(lambda: ones.sum(axis=1))
+
+    return run
+
+
+def _vote_layer_compute(
     layer: Layer,
     matrix: SplitMatrix,
-    decide,
     obs_index: Optional[int],
     cells_per_weight: int,
+    final: bool,
 ):
-    """Layer compute running ``decide`` on the layer's input rows.
+    """A split layer's compute on the shared :func:`vote_kernel`.
 
-    The SplitMatrix folds the layer bias into its block sums, so the
-    generic bias addition is disabled.
+    Hidden layers vote (``counts >= V``, a float64 0/1 plane); the final
+    layer emits the float64 counts.  The SplitMatrix folds the layer
+    bias into its block sums, so the kernel adds none.
     """
     weight_matrix = layer_weight_matrix(layer)
     if weight_matrix.shape != matrix.weights.shape:
@@ -278,22 +311,21 @@ def _vote_compute(
             f"split matrix shape {matrix.weights.shape} does not match "
             f"layer weight matrix {weight_matrix.shape}"
         )
-
-    def matrix_fn(bits: np.ndarray) -> np.ndarray:
-        record_layer(
-            obs_index,
-            lambda: bits.sum(axis=1),
-            rows=bits.shape[1],
+    scratch = Scratch()
+    kernel = LayerKernel(
+        vote_kernel(matrix, scratch, np.float64 if final else np.uint8),
+        RowPlan(matrix._gather),
+        binary_inputs("split-matrix inputs"),
+        dict(
+            rows=matrix.weights.shape[0],
             cols=matrix.cols,
             blocks=matrix.num_blocks,
             cells_per_weight=cells_per_weight,
-        )
-        return decide(bits)
-
-    def compute(inner_layer: Layer, x: np.ndarray) -> np.ndarray:
-        return apply_matrix_fn(inner_layer, x, matrix_fn, add_bias=False)
-
-    return compute
+        ),
+        vote=None if final else matrix.decision.vote_threshold,
+        scratch=scratch,
+    )
+    return layer_compute(obs_index, kernel)
 
 
 def split_layer_compute(
@@ -309,8 +341,8 @@ def split_layer_compute(
     ``obs_index`` enables per-layer activity counters (MVMs, SA events,
     row activity) under ``hw/layer{obs_index}`` while a recorder is on.
     """
-    return _vote_compute(
-        layer, matrix, matrix.fire, obs_index, cells_per_weight
+    return _vote_layer_compute(
+        layer, matrix, obs_index, cells_per_weight, final=False
     )
 
 
@@ -327,6 +359,6 @@ def final_layer_vote_compute(
     enables the same per-layer activity counters as
     :func:`split_layer_compute`.
     """
-    return _vote_compute(
-        layer, matrix, matrix.fired_counts, obs_index, cells_per_weight
+    return _vote_layer_compute(
+        layer, matrix, obs_index, cells_per_weight, final=True
     )

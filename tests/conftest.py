@@ -111,3 +111,35 @@ def tiny_quantized(trained_tiny_network, tiny_dataset):
         tiny_dataset["train_y"],
         SearchConfig(thres_max=0.3, search_step=0.02),
     )
+
+
+def unfold_oracle(layer, x, fn, add_bias=True):
+    """A layer's forward pass with ``fn`` replacing the matrix product.
+
+    The unfold-per-call adapter every hardware layer model ran on before
+    the shared row plan, kept verbatim as the oracle the
+    ``layer_compute`` hooks are pinned to: im2col (Conv2D) or the input
+    itself (Dense) → ``fn`` → bias → contiguous fold to the output
+    layout.
+    """
+    from repro.core.matrix_compute import fold_rows, layer_bias
+    from repro.errors import ShapeError
+    from repro.nn import functional as F
+
+    if isinstance(layer, Dense):
+        if x.ndim != 2 or x.shape[1] != layer.in_features:
+            raise ShapeError(
+                f"expected (n, {layer.in_features}), got {x.shape}"
+            )
+        out = fn(x)
+        return out + layer_bias(layer) if add_bias else out
+    if isinstance(layer, Conv2D):
+        kernel = layer.kernel_size
+        cols = F.im2col(x, kernel, kernel, layer.stride, layer.padding)
+        out = fn(cols)
+        if add_bias:
+            out = out + layer_bias(layer)
+        return np.ascontiguousarray(fold_rows(layer, x.shape, out))
+    raise ShapeError(
+        f"cannot apply a matrix compute to {type(layer).__name__}"
+    )

@@ -13,6 +13,7 @@ from repro.core import (
 )
 from repro.errors import ConfigurationError, ShapeError
 from repro.hw import RRAMDevice
+from tests.conftest import unfold_oracle
 
 
 class TestHardwareConfig:
@@ -182,7 +183,7 @@ class TestRowPlan:
         self, rng, padding, stride, ragged, n
     ):
         from repro import obs
-        from repro.core.matrix_compute import RowPlan, Scratch, apply_matrix_fn
+        from repro.core.matrix_compute import RowPlan, Scratch
         from repro.nn import functional as F
 
         layer, split, x = _conv_split_case(rng, padding, stride, ragged, n)
@@ -203,7 +204,7 @@ class TestRowPlan:
             bits, split.cols, blocks=split.num_blocks,
             cells_per_weight=split._block_crossbars[0].cells_per_weight,
         )
-        expected = apply_matrix_fn(layer, x, split.fire, add_bias=False)
+        expected = unfold_oracle(layer, x, split.fire, add_bias=False)
         assert out.flags["C_CONTIGUOUS"] and out.dtype == np.float64
         np.testing.assert_array_equal(out, expected)
         fired = split.fire(bits)
@@ -241,7 +242,6 @@ class TestRowPlan:
     def test_dac_layer(self, rng, padding, stride, n):
         from repro import obs
         from repro.core.hardware_network import DacCrossbar
-        from repro.core.matrix_compute import apply_matrix_fn
         from repro.nn import functional as F
         from repro.nn.layers import Conv2D
 
@@ -261,7 +261,7 @@ class TestRowPlan:
             np.ones_like(rows), 4,
             cells_per_weight=crossbar.cells_per_weight,
         )
-        expected = apply_matrix_fn(
+        expected = unfold_oracle(
             layer, driven, lambda rows: rows @ crossbar.merged()
         )
         np.testing.assert_array_equal(out, expected)
@@ -297,3 +297,26 @@ class TestAssembleADC:
     def test_all_layers_hooked(self, trained_tiny_network):
         wrapper = assemble_adc_network(trained_tiny_network)
         assert set(wrapper.layer_computes) == {0, 3, 7}
+
+    def test_engine_decomposes_at_hardware_weight_bits(
+        self, tiny_quantized
+    ):
+        """The adc engine programs its cells at the spec's weight bits:
+        8-bit weights on 4-bit cells are 4 signed slices, 4-bit ones 2."""
+        from repro.core import EngineSpec, compile_network
+
+        slices = {}
+        for bits in (8, 4):
+            net = compile_network(
+                tiny_quantized.network,
+                tiny_quantized.thresholds,
+                EngineSpec(
+                    name="adc", hardware=HardwareConfig(weight_bits=bits)
+                ),
+            )
+            slices[bits] = {
+                name: array.shape[0]
+                for name, array in net.device_arrays.items()
+            }
+        assert set(slices[8].values()) == {4}
+        assert set(slices[4].values()) == {2}

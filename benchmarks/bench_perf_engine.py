@@ -19,21 +19,21 @@ in ``BENCH_perf_engine.json`` at the repo root:
   slice/block loops into stacked matmuls; the reference engine keeps the
   per-slice loops.  The two engines are timed interleaved so slow
   machine drift cannot land on one side of the ratio.  Target: >= 3x.
-* **Packed popcount inference throughput** — samples/s of network1 on
-  the ``packed`` bit-plane engine under the paper's §5 fault regime
-  (stuck-at cells, no programming variation): activations pack into
-  byte/uint64 bit planes, column currents come from precomputed
-  per-group partial-sum tables, firing decisions from integer threshold
-  tables, and the DAC layer runs exact-integer float32 with its
-  binarize folded into the kernel.  Logits are asserted ``allclose``
-  against both the fused and reference engines before timing.
-  Targets: >= 7.0x vs reference, >= 1.1x vs fused.
+* **Packed inference throughput** — samples/s of network1 on the
+  ``packed`` engine under the paper's §5 fault regime (stuck-at cells,
+  no programming variation): both packed and fused run the certified
+  exact-integer float32 GEMM (:mod:`repro.core.integer_gemm`), packed
+  on uint8 planes end to end, fused on float32 rows with float64 0/1
+  planes between layers.  Logits are asserted ``allclose`` against both
+  the fused and reference engines before timing.  Targets: >= 7.0x vs
+  reference, >= 1.1x vs fused.
 * **Activation-estimation (predict-and-skip) on the upper layers** —
   network1's split upper layer with
   :class:`repro.core.estimate.EstimatorPolicy` enabled in ``exact``
   mode, natural partition.  The fused engine's deferred-block vote
-  schedule is timed against estimator-off — positions whose §4.3 vote
-  settles early skip the remaining block matmuls entirely.  The skip
+  schedule is timed against estimator-off (both on the certified
+  integer GEMM) — positions whose §4.3 vote settles early skip the
+  remaining block GEMMs entirely.  The skip
   and energy figures come from the packed engine, whose exact integer
   suffix bounds retire columns mid-block, so decided positions stop
   driving the remaining rows of every block.  Both are asserted
@@ -85,18 +85,22 @@ SEI_INFERENCE_TARGET = 3.0
 #: floor is 7.0.
 PACKED_REFERENCE_TARGET = 7.0
 #: The vs-fused ratio divides by the fused engine's time, and the fused
-#: engine got faster: its split and DAC layers now gather their rows
-#: with one compiled row plan into per-thread scratch instead of
-#: re-faulting fresh im2col and block-gather copies of the 512-image
-#: batch on every forward.  The ratio fell from 2.4x to 1.2x-1.3x on the
-#: same host with packed unchanged; the floor is 1.1.
+#: engine got faster twice.  First its split and DAC layers gathered
+#: their rows with one compiled row plan (2.4x to 1.2x-1.3x).  Then both
+#: engines moved onto the same certified integer float32 GEMM: fused
+#: alone fell to about 1.1x, and with packed's split and merge on the
+#: shared kernel the ratio measures 1.4x (1.8x at the parent commit on
+#: the same host).  The floor is 1.1.
 PACKED_FUSED_TARGET = 1.1
 #: Activation-estimation targets (upper split layer, natural partition).
 #: The speedup divides by the estimator-off layer time, which the row
 #: plan made about 2x faster; the deferred-block schedule shares the
-#: plan but saves only the third block's dgemm on retired positions, so
+#: plan but saves only the third block's GEMM on retired positions, so
 #: the ratio fell from 1.47x to 0.92x on the same host (estimator-off is
-#: now the faster schedule here).  The floor is 0.8.
+#: now the faster schedule here).  The certified integer GEMM made
+#: estimator-off about 3x faster again; with the schedule on the same
+#: operands and tables, in cache-sized position chunks, the ratio
+#: measures 0.83x-0.89x.  The floor is 0.8.
 ESTIMATE_SPEEDUP_TARGET = 0.8
 ESTIMATE_SKIP_TARGET = 0.30
 ESTIMATE_ENERGY_TARGET = 0.5
@@ -231,7 +235,7 @@ def bench_sei_inference(dataset, quick: bool) -> dict:
 
 
 def bench_packed_inference(dataset, quick: bool) -> dict:
-    """Packed popcount engine vs fused and reference, stuck-fault regime."""
+    """Packed engine vs fused and reference, stuck-fault regime."""
     samples = 128 if quick else 512
     repeats = 2 if quick else 6
     images = dataset.test.images[:samples]
@@ -285,7 +289,7 @@ def bench_packed_inference(dataset, quick: bool) -> dict:
     vs_reference = speedup(reference, packed)
     vs_fused = speedup(fused, packed)
 
-    # Traced pass after the timings: popcount/activity counters from the
+    # Traced pass after the timings: byte-lane/activity counters from the
     # packed kernels feed the SEI power model.
     trace_batch = images[: min(32, samples)]
     with obs.recording() as rec:
@@ -482,7 +486,7 @@ def main(argv=None) -> int:
         f"speedup {sei['speedup']:.1f}x (target >={sei['target']:.0f}x)"
     )
 
-    print(f"== Packed popcount inference throughput ({PACKED_NETWORK}) ==")
+    print(f"== Packed inference throughput ({PACKED_NETWORK}) ==")
     packed = bench_packed_inference(dataset, args.quick)
     print(
         f"  reference {packed['reference_samples_per_second']:.1f} samples/s  "

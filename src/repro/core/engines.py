@@ -67,9 +67,9 @@ class EngineSpec:
         stacked-matmul SEI arithmetic), ``'reference'`` (the retained
         pre-fusion per-slice loops, the equivalence oracle), ``'adc'``
         (the traditional DAC+crossbar+ADC functional model, the Table 5
-        baseline) or ``'packed'`` (bit-packed popcount SEI arithmetic:
-        activations as bit planes, precomputed integer row-weight
-        partial sums; see :mod:`repro.core.packed`).
+        baseline) or ``'packed'`` (the fused engine's exact integer
+        kernels on uint8 planes, with popcount group tables under the
+        estimator; see :mod:`repro.core.packed`).
     hardware:
         Device / fabric parameters (cell precision, noise sigmas, IR
         drop, crossbar size, partitioning).  The noise options that used

@@ -45,6 +45,13 @@ from repro.nn.network import Sequential
 from repro.core.binarized import BinarizedNetwork
 from repro.core.estimate import EstimatorPolicy, SkipStats
 from repro.core.homogenize import Partition, homogenize, natural_partition
+from repro.core.integer_gemm import (
+    Certified,
+    byte_lanes,
+    certify,
+    firing_kernel,
+    integer_layer,
+)
 from repro.core.matrix_compute import (
     LayerKernel,
     RowPlan,
@@ -541,7 +548,207 @@ def _identity_compute():
     return compute
 
 
-# -- the fused engine: collapsed crossbars, stacked float64 matmuls -------------
+# -- certified integer kernels, shared by the fused and packed engines ----------
+
+
+def grid_unit(xbar: SEIMatrix) -> float:
+    """The integer-grid unit of an SEI crossbar's collapsed matrix."""
+    return float(xbar.scale) * float(xbar.ir_drop_attenuation)
+
+
+def _active_rows(rows: np.ndarray):
+    """Active counts of 0/1 planned rows: the 1s per position."""
+    n = rows.shape[0]
+    return lambda: rows.reshape(n, -1).sum(axis=1, dtype=np.int64)
+
+
+def certified_dac(record: dict, plane: bool = False) -> Optional[LayerKernel]:
+    """The DAC input layer (§3.2) on integer codes, or None.
+
+    The feature map quantizes to integer DAC codes ``k`` (levels
+    ``k/steps``), which stay uint8 through the unfold; the GEMM against
+    the merged matrix's integers ``N`` (``merged = unit·N``) runs in
+    float32 over cache-sized chunks, and the layer's 1-bit quantization
+    (Equ. 4) is decided against the certified table.  Without ``plane``
+    the kernel returns the fired bits with ``vote=1``, so the compute
+    writes the float64 plane of the outer binarize; with it (the packed
+    engine) the uint8 plane is the layer's output.
+    """
+    xbar = record["crossbar"]
+    if record["threshold"] is None:
+        return None
+    threshold = float(record["threshold"])
+    bias = layer_bias(record["layer"])
+    steps = 2**xbar.dac.bits - 1
+    certified = certify(
+        (xbar.array,),
+        lambda: integer_layer(
+            [xbar.merged()], [xbar.scale], xbar.rows, [[threshold]], bias,
+            max_input=steps,
+            # The float64 kernel's levels k/steps are correctly rounded.
+            level_error=np.finfo(np.float64).eps / 2,
+        ),
+    )
+    if certified is None:
+        return None
+    code_dtype = np.uint8 if steps <= np.iinfo(np.uint8).max else np.uint16
+    scratch = Scratch()
+
+    def prepare(x: np.ndarray) -> np.ndarray:
+        # Integer codes before the unfold: the fused kernel's levels are
+        # exactly ``codes / steps`` (zero padding is code 0 either way).
+        return np.rint(np.clip(x, 0.0, 1.0) * steps).astype(code_dtype)
+
+    def fallback(codes: np.ndarray) -> np.ndarray:
+        sums = (codes / steps) @ xbar.merged()
+        sums += bias
+        return (sums > threshold).view(np.uint8)
+
+    return LayerKernel(
+        firing_kernel(certified, fallback, scratch, all_rows_active),
+        RowPlan(dtype=code_dtype),
+        prepare,
+        xbar.meter(),
+        arrays=(xbar.array,),
+        vote=None if plane else 1,
+        prebinarized=True,
+        scratch=scratch,
+    )
+
+
+def certify_unsplit(record: dict) -> Optional[Certified]:
+    """A thresholded unsplit layer's integer crossbar and firing table,
+    or None when it does not certify."""
+    xbar = record["crossbar"]
+    if record["threshold"] is None:
+        return None
+    threshold = float(record["threshold"])
+    bias = layer_bias(record["layer"])
+    return certify(
+        (xbar.array,),
+        lambda: integer_layer(
+            [xbar.fused_matrix], [grid_unit(xbar)], xbar.logical_rows,
+            [[threshold]], bias,
+        ),
+    )
+
+
+def certified_unsplit(
+    record: dict, plane: bool = False, dtype=np.float32, lanes: bool = False
+) -> Optional[LayerKernel]:
+    """A thresholded unsplit SEI layer on the integer GEMM, or None.
+
+    ``dtype`` is the row plan's (float32 rows feed the GEMM in place,
+    uint8 rows are widened chunkwise); ``plane`` and the ``vote=1``
+    emission are as in :func:`certified_dac`; ``lanes`` records the
+    byte lanes as ``popcount_events`` (the packed engine's count).
+    """
+    certified = certify_unsplit(record)
+    if certified is None:
+        return None
+    xbar = record["crossbar"]
+    threshold = float(record["threshold"])
+    bias = layer_bias(record["layer"])
+    rows = xbar.logical_rows
+    scratch = Scratch()
+
+    def fallback(bits: np.ndarray) -> np.ndarray:
+        sums = xbar.column_sums(bits.astype(np.float64))
+        sums += bias
+        return (sums > threshold).view(np.uint8)
+
+    return LayerKernel(
+        firing_kernel(
+            certified, fallback, scratch, _active_rows,
+            lanes=byte_lanes(rows) if lanes else 0,
+        ),
+        RowPlan(dtype=dtype),
+        binary_inputs("SEI inputs"),
+        layer_meter([xbar], rows),
+        arrays=(xbar.array,),
+        vote=None if plane else 1,
+        prebinarized=True,
+        scratch=scratch,
+    )
+
+
+def certify_split(split: HardwareSplitMatrix) -> Optional[Certified]:
+    """A split layer's integer blocks and per-(block, active rows)
+    firing tables, or None when they do not certify."""
+    crossbars = split._block_crossbars
+    limits = [
+        split.decision.thresholds_for(np.arange(len(block) + 1.0))
+        for block in split.blocks
+    ]
+    return certify(
+        split.block_arrays,
+        lambda: integer_layer(
+            [xbar.fused_matrix for xbar in crossbars],
+            [grid_unit(xbar) for xbar in crossbars],
+            split._gather.shape[1],
+            limits,
+            split.block_bias,
+        ),
+    )
+
+
+def split_layer_kernel(
+    record: dict, run, plan: RowPlan, plane: bool = False, scratch=None
+) -> LayerKernel:
+    """A hidden split layer's :class:`LayerKernel` around ``run``.
+
+    Without ``plane``, ``run`` returns fired-block counts and the
+    compute's vote writes the float64 plane; with it, ``run`` returns
+    the uint8 vote plane.  A threshold in ``[0, 1)`` folds
+    (``prebinarized``).
+    """
+    split = record["matrix"]
+    return LayerKernel(
+        run,
+        plan,
+        binary_inputs("split-matrix inputs"),
+        layer_meter(
+            split._block_crossbars, split.weights.shape[0], split.num_blocks
+        ),
+        arrays=split.block_arrays,
+        vote=None if plane else split.decision.vote_threshold,
+        prebinarized=folds_threshold(record["threshold"]),
+        scratch=scratch if scratch is not None else Scratch(),
+    )
+
+
+def certified_split(
+    record: dict, plane: bool = False, dtype=np.float32, lanes: bool = False
+) -> Optional[LayerKernel]:
+    """A hidden split layer (§4.3 block vote) on the integer GEMM, or None.
+
+    The K block GEMMs of each chunk decide against the per-(block,
+    active rows) certified tables and count the fired blocks.
+    """
+    split = record["matrix"]
+    certified = certify_split(split)
+    if certified is None:
+        return None
+    scratch = Scratch()
+    float_vote = vote_kernel(split, scratch)
+    run = firing_kernel(
+        certified,
+        lambda rows: float_vote(rows.astype(np.float64))[0],
+        scratch,
+        _active_rows,
+        vote=split.decision.vote_threshold if plane else None,
+        lanes=split.num_blocks * byte_lanes(split._gather.shape[1])
+        if lanes else 0,
+    )
+    return split_layer_kernel(
+        record, run, RowPlan(split._gather, dtype), plane, scratch
+    )
+
+
+# -- the fused engine: collapsed crossbars, certified integer GEMM ---------------
+
+#: Positions per chunk of the deferred-block schedule.
+_EST_CHUNK = 1024
 
 
 def lower_fused(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
@@ -550,6 +757,9 @@ def lower_fused(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
 
 
 def _fused_dac(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
+    certified = certified_dac(record)
+    if certified is not None:
+        return certified
     xbar = record["crossbar"]
 
     def run(driven: np.ndarray):
@@ -562,123 +772,147 @@ def _fused_dac(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
 
 
 def _fused_unsplit(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
+    certified = certified_unsplit(record)
+    if certified is not None:
+        return certified
     return sei_kernel(record["crossbar"], layer_bias(record["layer"]))
 
 
 def _fused_split(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
     """A hidden split layer (§4.3 block vote) on the compiled row plan.
 
-    The plan gathers the padded ``(n·P, K, H)`` block layout, the K
-    block dgemms write into per-thread scratch, and the kernel returns
-    the fired-block counts (:func:`repro.core.splitting.vote_kernel`, the
-    kernel of the software split hooks too); the compute's vote writes
-    them as a fresh float64 0/1 plane in the layer's output layout — the
-    data the outer binarize would write, so a threshold in ``[0, 1)``
-    folds (``prebinarized``).
+    On certified blocks this is :func:`certified_split`; otherwise the
+    plan gathers the padded ``(n·P, K, H)`` float64 layout, the K block
+    dgemms write into per-thread scratch, and the kernel returns the
+    fired-block counts (:func:`repro.core.splitting.vote_kernel`, the
+    kernel of the software split hooks too).  Either way the compute's
+    vote writes them as a fresh float64 0/1 plane in the layer's output
+    layout — the data the outer binarize would write, so a threshold in
+    ``[0, 1)`` folds (``prebinarized``).
     """
     split = record["matrix"]
+    if not (estimator.enabled and split._fused_blocks):
+        kernel = certified_split(record)
+        if kernel is not None:
+            return kernel
+        scratch = Scratch()
+        return split_layer_kernel(
+            record, vote_kernel(split, scratch), RowPlan(split._gather),
+            scratch=scratch,
+        )
+    # Estimator hook-in (static cells only): the deferred-block vote
+    # schedule, on the certified integer operands when the blocks
+    # certify.
+    certified = certify_split(split)
     scratch = Scratch()
-    vote = split.decision.vote_threshold
-    num_blocks = split.num_blocks
-    cols = split.cols
-
-    # ``kernel`` maps the layer's planned rows to per-position vote counts.
-    kernel = vote_kernel(split, scratch)
-    # Estimator hook-in: the deferred-block vote schedule (§4.3 vote-level
-    # early termination).  A position whose vote is settled (counts >= V,
-    # or mathematically unreachable) skips its remaining block crossbars
-    # outright.  Only on static cells — noisy blocks fall through to the
-    # unmodified path.
-    if estimator.enabled and split._fused_blocks:
-        block_sizes = [len(b) for b in split.blocks]
-
-        def est_fn_blocks(gathered: np.ndarray):
-            # Deferred-block schedule: blocks are computed with the
-            # *same* planned layout + strided matmuls as the off path
-            # (bit-identical arithmetic by construction), but each
-            # block's GEMM only sees the positions whose §4.3 vote is
-            # still live — once a position's vote is settled (counts
-            # >= V, or mathematically unreachable), its remaining block
-            # crossbars are never driven at all.
-            n = gathered.shape[0]
-            stats = SkipStats()
-            matrices = split._block_matrices()
-            ones_blk = gathered.sum(axis=2)
-            counts = np.zeros((n, cols), dtype=np.uint8)
-            alive = np.arange(n)
-            ones_al = ones_blk
-            counts_al = counts
-            dec_al = np.zeros((n, cols), dtype=bool)
-            processed = np.zeros(num_blocks, dtype=np.int64)
-            # The estimator owns every (position, block, column)
-            # sense-amp decision; the ones it closes early are exactly
-            # the skipped blocks' comparisons.
-            stats.est_positions = n * cols * num_blocks
-            for k in range(num_blocks):
-                if alive.size == 0:
-                    break
-                processed[k] = alive.size
-                # Only block k's rows of the live positions are copied;
-                # before any retirement the operand is the strided view.
-                operand = (
-                    gathered[:, k, :] if alive.size == n
-                    else gathered[alive, k, :]
-                )
-                sums = scratch.get("est_sums", (alive.size, cols), np.float64)
-                np.matmul(operand, matrices[k], out=sums)
-                sums += split.block_bias
-                thr = split.decision.thresholds_for(ones_al[:, k])[:, None]
-                out_k = sums > thr
-                np.add(counts_al, out_k, out=counts_al, casting="unsafe")
-                remaining = num_blocks - 1 - k
-                # A position can only retire once a vote is reachable
-                # (k+1 >= vote) or unreachable (remaining < vote) —
-                # skip the decision planes on blocks where neither holds.
-                if k + 1 < vote and remaining >= vote:
-                    continue
-                dec_al = (
-                    dec_al
-                    | (counts_al >= vote)
-                    | (counts_al + remaining < vote)
-                )
-                if remaining:
-                    done = dec_al.all(axis=1)
-                    if done.any():
-                        d = int(done.sum())
-                        stats.skipped_rows += int(
-                            ones_al[done, k + 1 :].sum()
-                        )
-                        stats.skipped_slots += d * sum(block_sizes[k + 1 :])
-                        stats.est_decided += d * cols * remaining
-                        counts[alive[done]] = counts_al[done]
-                        keep = ~done
-                        alive = alive[keep]
-                        ones_al = ones_al[keep]
-                        counts_al = counts_al[keep]
-                        dec_al = dec_al[keep]
-            if alive.size:
-                counts[alive] = counts_al
-            return counts, Tally(
-                lambda: ones_blk.sum(axis=1),
-                sa_events=stats.est_positions - stats.est_decided,
-                skip=stats,
-                reads=processed,
-            )
-
-        kernel = est_fn_blocks
-
-    return LayerKernel(
-        kernel,
-        RowPlan(split._gather),
-        binary_inputs("split-matrix inputs"),
-        layer_meter(
-            split._block_crossbars, split.weights.shape[0], num_blocks
+    return split_layer_kernel(
+        record,
+        _deferred_blocks(split, certified, scratch),
+        RowPlan(
+            split._gather, np.float64 if certified is None else np.float32
         ),
-        arrays=split.block_arrays,
-        vote=vote,
-        prebinarized=folds_threshold(record["threshold"]),
         scratch=scratch,
     )
+
+
+def _deferred_blocks(
+    split: HardwareSplitMatrix,
+    certified: Optional[Certified],
+    scratch: Scratch,
+):
+    """The deferred-block vote schedule (§4.3 vote-level early
+    termination).
+
+    Blocks are computed in order with the off path's arithmetic — the
+    certified integer GEMM and tables, or the float64 dgemms — but each
+    block's GEMM only sees the positions whose §4.3 vote is still live:
+    once every column of a position is settled (counts >= V, or V out of
+    reach), its remaining block crossbars are never driven.  Settling is
+    monotone, so the emitted counts equal the off path's.  Positions run
+    in chunks so each chunk's operands and vote state stay cache-hot.
+    """
+    vote = split.decision.vote_threshold
+    num_blocks, cols = split.num_blocks, split.cols
+    block_sizes = [len(b) for b in split.blocks]
+    bias = split.block_bias
+
+    def fires(layer, k: int, operand: np.ndarray) -> np.ndarray:
+        """Block ``k``'s sense-amp decisions for the live positions."""
+        if layer is None:
+            sums = operand @ split._block_matrices()[k]
+            sums += bias
+            limits = split.decision.thresholds_for(operand.sum(axis=1))
+            return sums > limits[:, None]
+        acc = scratch.get(
+            "est_acc", (len(operand), layer.weights.shape[2]), np.float32
+        )
+        np.matmul(operand, layer.weights[k], out=acc)
+        if layer.static:
+            limit = layer.tables[k, 0]
+        else:
+            limit = np.take(layer.tables[k], acc[:, cols].astype(np.intp), 0)
+        return acc[:, :cols] >= limit
+
+    def schedule(layer, rows, counts, stats, processed) -> None:
+        alive = np.arange(len(rows))
+        live = counts
+        for k in range(num_blocks):
+            processed[k] += alive.size
+            # Only block k's rows of the live positions are copied;
+            # before any retirement the operand is the strided view.
+            operand = rows[:, k] if live is counts else rows[alive, k]
+            np.add(live, fires(layer, k, operand), out=live,
+                   casting="unsafe")
+            remaining = num_blocks - 1 - k
+            # A position can only retire once a vote is reachable
+            # (k+1 >= vote) or unreachable (remaining < vote), and only
+            # while blocks remain.
+            if remaining == 0 or (k + 1 < vote and remaining >= vote):
+                continue
+            done = (
+                (live >= vote) | (live < vote - remaining)
+            ).all(axis=1)
+            if done.any():
+                d = int(done.sum())
+                stats.skipped_rows += np.count_nonzero(
+                    rows[alive[done], k + 1 :]
+                )
+                stats.skipped_slots += d * sum(block_sizes[k + 1 :])
+                stats.est_decided += d * cols * remaining
+                if live is not counts:
+                    counts[alive] = live
+                keep = ~done
+                alive, live = alive[keep], live[keep]
+                if alive.size == 0:
+                    return
+        if live is not counts:
+            counts[alive] = live
+
+    def run(gathered: np.ndarray):
+        n = gathered.shape[0]
+        layer = None if certified is None else certified.get()
+        if layer is None:
+            gathered = gathered.astype(np.float64, copy=False)
+        # The estimator owns every (position, block, column) sense-amp
+        # decision; the ones it closes early are exactly the skipped
+        # blocks' comparisons.
+        stats = SkipStats(est_positions=n * cols * num_blocks)
+        processed = np.zeros(num_blocks, dtype=np.int64)
+        counts = np.zeros((n, cols), dtype=np.uint8)
+        for start in range(0, n, _EST_CHUNK):
+            stop = min(n, start + _EST_CHUNK)
+            schedule(
+                layer, gathered[start:stop], counts[start:stop], stats,
+                processed,
+            )
+        return counts, Tally(
+            lambda: np.count_nonzero(gathered.reshape(n, -1), axis=1),
+            sa_events=stats.est_positions - stats.est_decided,
+            skip=stats,
+            reads=processed,
+        )
+
+    return run
 
 
 def _fused_analog_merge(

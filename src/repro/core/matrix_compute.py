@@ -12,6 +12,7 @@ defined on matrices; every one of them is lowered to a
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
@@ -114,7 +115,7 @@ class Scratch:
         raw, view = bufs.get(key, (None, None))
         if view is not None and view.shape == shape and view.dtype == dtype:
             return view
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         if raw is None or raw.size < nbytes:
             raw = np.empty(nbytes, np.uint8)
         view = raw[:nbytes].view(dtype).reshape(shape)

@@ -24,7 +24,7 @@ Metric convention (written by :func:`record_mvm_batch`, read by
 ``est_decided``           of those, decided early (skippable work left)
 ``sa_events``             sense-amplifier (threshold) decisions
 ``noise_draws``           per-cell conductance noise samples drawn
-``popcount_events``       packed words popcounted (packed engine only)
+``popcount_events``       byte lanes of selection bits (packed engine only)
 ``rows`` (gauge)          logical rows of the layer's weight matrix
 ``cols`` (gauge)          output columns
 ``blocks`` (gauge)        split blocks (1 = unsplit)
@@ -141,8 +141,9 @@ def record_mvm_batch(
     popcount engine) pass ``bits=None`` with ``active_counts`` (the
     per-position active-row totals, already popcounted) and ``rows``
     (the logical row count) instead — the derived metrics are identical.
-    ``popcount_events`` counts the packed words popcounted, the packed
-    engine's analogue of the per-row activity reductions.
+    ``popcount_events`` counts the byte lanes of selection bits a
+    packed call covers (``n · K · ceil(H/8)``), the packed engine's
+    analogue of the per-row activity reductions.
     """
     if active_counts is not None:
         if rows is None:

@@ -245,12 +245,14 @@ def load_trace(path) -> LoadProfile:
 
 # -- the open-loop runner ------------------------------------------------
 class _Record:
-    __slots__ = ("scheduled_s", "status", "latency_ms")
+    __slots__ = ("scheduled_s", "status", "latency_ms", "lag_ms")
 
-    def __init__(self, scheduled_s, status, latency_ms):
+    def __init__(self, scheduled_s, status, latency_ms, lag_ms=None):
         self.scheduled_s = scheduled_s
         self.status = status
         self.latency_ms = latency_ms
+        #: How late the generator sent the request against its due time.
+        self.lag_ms = lag_ms
 
 
 def run_load(
@@ -270,29 +272,36 @@ def run_load(
     between arrivals and timestamps sends/completions on it, so under a
     :class:`~repro.serve.clock.FakeClock` (with a synchronous
     ``submit``) the entire report is deterministic.
+
+    Each request is timed from its **due** time (``start + offset``),
+    not from when it was sent: when the generator runs late (a slow
+    synchronous ``submit``, a stalled thread) the wait counts against
+    the requests it delays.  How late each request left is reported as
+    generator lag (``lag_p50_ms``/``lag_p99_ms``).
     """
     clock = clock if clock is not None else SYSTEM_CLOCK
     offsets = np.asarray(schedule, dtype=float)
     make = payload if callable(payload) else (lambda i: payload)
     start = clock.monotonic()
-    pending: List[Tuple[int, float, float, object]] = []
+    pending: List[Tuple[int, float, float, float, object]] = []
     records: List[_Record] = []
     #: Completion timestamps, written by done-callbacks the moment a
     #: future resolves (on the worker that resolved it) — so latency
     #: measures completion, not the runner's later resolution sweep.
     done_at = {}
     for i, offset in enumerate(offsets):
-        delay = (start + float(offset)) - clock.monotonic()
+        due = start + float(offset)
+        delay = due - clock.monotonic()
         if delay > 0:
             clock.sleep(delay)
-        sent = clock.monotonic()
+        lag_ms = max(clock.monotonic() - due, 0.0) * 1e3
         try:
             future = submit(np.asarray(make(i)))
         except BackpressureError:
-            records.append(_Record(float(offset), "rejected", None))
+            records.append(_Record(float(offset), "rejected", None, lag_ms))
             continue
         except ShardDeadError:
-            records.append(_Record(float(offset), "dead", None))
+            records.append(_Record(float(offset), "dead", None, lag_ms))
             continue
         callback = getattr(future, "add_done_callback", None)
         if callback is not None:
@@ -301,21 +310,21 @@ def run_load(
                     idx, clock.monotonic()
                 )
             )
-        pending.append((i, float(offset), sent, future))
-    for i, offset, sent, future in pending:
+        pending.append((i, float(offset), due, lag_ms, future))
+    for i, offset, due, lag_ms, future in pending:
         try:
             future.result(timeout=result_timeout_s)
         except BackpressureError:
-            records.append(_Record(offset, "rejected", None))
+            records.append(_Record(offset, "rejected", None, lag_ms))
             continue
         except ShardDeadError:
-            records.append(_Record(offset, "dead", None))
+            records.append(_Record(offset, "dead", None, lag_ms))
             continue
         except Exception:
-            records.append(_Record(offset, "error", None))
+            records.append(_Record(offset, "error", None, lag_ms))
             continue
         done = done_at.get(i, clock.monotonic())
-        records.append(_Record(offset, "ok", (done - sent) * 1e3))
+        records.append(_Record(offset, "ok", (done - due) * 1e3, lag_ms))
     elapsed = max(clock.monotonic() - start, 1e-12)
     return summarize(records, elapsed_s=elapsed)
 
@@ -325,11 +334,13 @@ def summarize(records: Sequence[_Record], elapsed_s: float) -> dict:
     (and, given identical records, byte-identical) structures."""
     total = len(records)
     by_status = {"ok": 0, "rejected": 0, "dead": 0, "error": 0}
-    latencies = []
+    latencies, lags = [], []
     for record in records:
         by_status[record.status] = by_status.get(record.status, 0) + 1
         if record.latency_ms is not None:
             latencies.append(record.latency_ms)
+        if record.lag_ms is not None:
+            lags.append(record.lag_ms)
     ok = by_status["ok"]
     report = {
         "requests": total,
@@ -360,6 +371,10 @@ def summarize(records: Sequence[_Record], elapsed_s: float) -> dict:
             report[label] = None
         report["mean_ms"] = None
         report["max_ms"] = None
+    for label, pct in (("lag_p50_ms", 50.0), ("lag_p99_ms", 99.0)):
+        report[label] = (
+            round(float(np.percentile(lags, pct)), 6) if lags else None
+        )
     return report
 
 

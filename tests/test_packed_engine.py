@@ -15,10 +15,10 @@ import pytest
 from repro.core.binarized import binarize
 from repro.core.engines import EngineSpec, compile_network
 from repro.core.hardware_network import HardwareConfig
+from repro.core.integer_gemm import integer_layer
 from repro.core.packed import (
     GROUP_ROWS,
     PackedMatrix,
-    _decision_tables,
     build_group_tables,
 )
 from repro.core.splitting import SplitDecision
@@ -227,7 +227,10 @@ class TestDecisionTables:
             block_threshold=0.11, ones_slope=0.003, vote_threshold=1
         )
         bias = rng.normal(scale=0.05, size=cols)
-        tables = _decision_tables(matrix, decision, bias)
+        tables = integer_layer(
+            mats, units, 24,
+            [decision.thresholds_for(np.arange(25.0))] * 2, bias,
+        ).tables
         bits = _bits(rng, 40, rows)
         codes = matrix.pack(_planned(matrix, bits))
         ones = matrix.ones_per_block(codes)
@@ -272,12 +275,15 @@ class TestAssembledEngine:
         # with it the folded threshold comparison) must stay engaged.
         assert packed.prebinarized
         assert packed.prebinarized <= set(tiny_quantized.thresholds)
-        # The fused engine folds only its §4.3 block-vote layers.
-        assert fused.prebinarized == {
-            index
-            for index, info in fused.hardware_layers.items()
-            if info["kind"] == "split"
-        }
+        # On integral crossbars both engines fold the same layers, and
+        # the fused engine's folded planes are the float64 planes the
+        # outer binarize would write.
+        assert fused.prebinarized == packed.prebinarized
+        x = fused._quantize_input(images)
+        for index in range(len(fused.network.layers)):
+            x = fused.run_layer(index, x)
+            if index in fused.prebinarized:
+                assert x.dtype == np.float64 and x.flags.c_contiguous
 
     def test_program_noise_falls_back_to_fused_exactly(
         self, tiny_quantized, tiny_dataset

@@ -234,10 +234,28 @@ class TestDeterministicReports:
         parsed = json.loads(reports[0])
         assert parsed["requests"] == len(schedule)
         assert parsed["ok"] == len(schedule)
-        # Every request took exactly the simulated service time.
-        assert parsed["p50_ms"] == pytest.approx(4.0)
-        assert parsed["p999_ms"] == pytest.approx(4.0)
-        assert parsed["max_ms"] == pytest.approx(4.0)
+        # Timed from its due time, every request took the simulated
+        # service time plus how late the generator sent it.
+        assert parsed["lag_p50_ms"] > 0.0
+        assert parsed["p50_ms"] == pytest.approx(parsed["lag_p50_ms"] + 4.0)
+        assert parsed["p99_ms"] == pytest.approx(parsed["lag_p99_ms"] + 4.0)
+
+    def test_latency_is_timed_from_the_due_time(self):
+        """A synchronous submit slower than the arrival spacing: the
+        generator falls further behind each request, and latency grows
+        from the due time instead of staying at the service time."""
+        clock = FakeClock()
+        report = run_load(
+            self._deterministic_submit(clock, service_s=0.004),
+            [0.001 * i for i in range(10)],
+            np.zeros(2),
+            clock=clock,
+        )
+        # Request i is due at i ms, sent at 4i ms and done at 4i + 4 ms.
+        assert report["max_ms"] == pytest.approx(31.0)
+        assert report["mean_ms"] == pytest.approx(17.5)
+        assert report["lag_p50_ms"] == pytest.approx(13.5)
+        assert report["lag_p99_ms"] == pytest.approx(26.73)
 
     def test_run_profile_carries_provenance(self):
         clock = FakeClock()

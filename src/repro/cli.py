@@ -217,8 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--estimator",
             choices=("off", "exact", "threshold"),
             default="off",
-            help="runtime activation estimator: skip MVM row work once "
-            "column outputs are decided ('exact' is bit-identical, "
+            help="runtime activation estimator: count the MVM row work "
+            "the hardware skips once column outputs are decided ('exact' "
+            "is bit-identical, "
             "'threshold' trades accuracy via --confidence and needs "
             "--engine packed)",
         )

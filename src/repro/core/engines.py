@@ -68,8 +68,7 @@ class EngineSpec:
         pre-fusion per-slice loops, the equivalence oracle), ``'adc'``
         (the traditional DAC+crossbar+ADC functional model, the Table 5
         baseline) or ``'packed'`` (the fused engine's exact integer
-        kernels on uint8 planes, with popcount group tables under the
-        estimator; see :mod:`repro.core.packed`).
+        kernels on uint8 planes; see :mod:`repro.core.packed`).
     hardware:
         Device / fabric parameters (cell precision, noise sigmas, IR
         drop, crossbar size, partitioning).  The noise options that used
@@ -325,7 +324,7 @@ register_engine("fused", _build_sei)
 register_engine("reference", _build_sei, oracle=True)
 register_engine("adc", _build_adc)
 
-# The packed popcount engine lives in its own module and imports this
+# The packed engine lives in its own module and imports this
 # registry lazily, so registering it here closes the loop without a
 # circular import at module load.
 from repro.core.packed import _build_packed  # noqa: E402

@@ -1,4 +1,4 @@
-"""Runtime output-activity estimation: predict-and-skip MVM work.
+"""Runtime output-activity estimation: price the skippable MVM work.
 
 The paper's "switched by input" structure already drives only the word
 lines whose input bit is 1; the row-activity histograms (3-10% mean
@@ -6,42 +6,44 @@ activity in the upper layers, BENCH_perf_engine.json) say most of the
 *remaining* work still computes column currents whose sense-amp output
 bit is a foregone conclusion.  CompRRAE (Chen et al., arXiv 1906.03180)
 cuts RRAM CNN computation by estimating output activity at runtime and
-stopping early; this module holds the policy and the bound tables that
-adapt the idea to both SEI engines:
+stopping early.  The simulator does not have to execute that skipping
+to price it: this module holds the policy, the bound tables and one
+accounting pass (:class:`SkipPass`) that counts what the hardware would
+skip, shared by the fused and packed engines.
 
-* **packed engine** — k-conditioned suffix bounds in the integer domain
-  of :mod:`repro.core.packed`: min/max partial-sum companion tables per
-  8-row byte group (:class:`PackedSuffixBounds`), gathered on the same
-  per-group path as the partial sums themselves and conditioned on the
-  remaining popcount, so a column retires mid-block once its firing bit
-  is provable.
-* **fused engine** — the deferred-block vote schedule on split layers
-  (in :mod:`repro.core.hardware_network`): blocks run in order on the
-  layer's planned operands, and a position whose §4.3 vote is settled
-  (enough blocks fired, or the vote is out of reach) never drives its
-  remaining block crossbars.  Every other fused layer runs the off path.
+An estimated layer runs its certified integer kernel
+(:mod:`repro.core.integer_gemm`) and, next to it, the pass on the same
+integer operands and firing tables.  Per block the pass takes segment
+sums at every ``policy.group_check`` byte-group boundary (one batched
+float32 GEMM, exact below 2**24), accumulates them, and decides a
+column at the first boundary where ``acc + lo >= F`` (it provably
+fires) or ``acc + hi <= F - 1`` (it provably stays silent).  ``lo`` /
+``hi`` are k-conditioned suffix bounds (:class:`PackedSuffixBounds`:
+the least / greatest contribution of the remaining rows given ``k`` of
+them are active) and ``F`` the certified minimal firing accumulator.  A
+position whose every column is decided stops driving the block's
+remaining rows; a position whose §4.3 vote is settled on every column
+(enough blocks fired, or the vote is out of reach) skips its remaining
+blocks.  An unsplit layer is the one-block case.
 
-Safety argument for ``mode='exact'`` (the bit-identity guarantee):
+* ``mode='exact'``: accumulator, bounds and tables are exact integers,
+  so an early decision *is* the final decision and the outputs come
+  from the off kernel unchanged.  The per-block reads follow from the
+  block-level vote settle on every call (:func:`vote_reads`); the
+  skip counters and the sense-amp events are a callable the recorder
+  evaluates, so the pass runs only while a recorder is on.
+* ``mode='threshold'`` (packed engine only): the bound tables are
+  scaled by a ``confidence`` knob in ``(0, 1]``, trading bounded,
+  statistically monotone output disagreement for earlier decisions.
+  The pass runs on every call and supplies the outputs: the decision
+  at the first settled boundary, else the certified decision on the
+  complete accumulator.
 
-* On the packed engine the accumulator, the bounds and the §4.3 firing
-  thresholds are all exact integers, so ``acc + lo >= F`` /
-  ``acc + hi < F`` are theorems about the final accumulator — an early
-  decision *is* the final decision.  (The unsplit packed layer, whose
-  off-mode comparison happens in float64, uses a widened integer band,
-  :func:`packed_fire_band`, and replays the off-mode float arithmetic
-  for the handful of accumulators that land inside it.)
-* On the fused engine every computed block sum is the off path's own
-  dgemm on the same operands; skipping a block whose vote outcome is
-  already fixed cannot change the vote, so the emitted bits equal
-  ``mode='off'`` by construction.
-
-``mode='threshold'`` is the CompRRAE-style probabilistic variant of the
-packed bounds: the tables are scaled by a ``confidence`` knob in
-``(0, 1]``, trading bounded, statistically monotone output disagreement
-for earlier retirement.  It is packed-only; the fused engine rejects it
-at compile time.  See ``docs/engines.md`` for the bound derivations and
+Layers that do not certify (programming variation, per-read noise) run
+the off kernel under an enabled policy: no skip counters, every block
+read.  See ``docs/engines.md`` for the derivations and
 :func:`repro.testing.faults.estimator_confidence_sweep` for the
-degradation campaign.
+threshold-mode degradation campaign.
 
 This module is deliberately dependency-light (numpy + errors only): the
 engines import it, never the other way around.
@@ -50,7 +52,7 @@ engines import it, never the other way around.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -61,7 +63,8 @@ __all__ = [
     "MAX_K",
     "SkipStats",
     "PackedSuffixBounds",
-    "packed_fire_band",
+    "SkipPass",
+    "vote_reads",
 ]
 
 _MODES = ("off", "exact", "threshold")
@@ -89,11 +92,13 @@ class EstimatorPolicy:
         earlier at the cost of more output disagreement.  Ignored by
         ``'exact'``.
     chunk_rows:
-        Has no effect; validated (``>= 1``) and kept only so existing
-        policy constructions stay valid.
+        Has no effect; validated (``>= 1``).  It stays because the
+        end-to-end benchmark's ``fused_est``/``fused_ckpt`` variants
+        still construct policies with it, and it can go only together
+        with them.
     group_check:
-        Packed engine: a decision check runs every ``group_check``
-        8-row byte groups.
+        A decision check runs every ``group_check`` 8-row byte groups
+        of a block.
     """
 
     mode: str = "off"
@@ -175,17 +180,18 @@ def _suffix_bound_table(parts: np.ndarray, cap: int) -> np.ndarray:
 
 
 class PackedSuffixBounds:
-    """Integer min/max remaining-sum tables for one packed block.
+    """Integer min/max remaining-sum tables for one crossbar block.
 
-    The companion tables to :func:`repro.core.packed.build_group_tables`:
-    at every decision boundary (a multiple of ``policy.group_check`` byte
-    groups into the block) and for every remaining popcount ``k`` (capped
-    at :data:`MAX_K`), the least / greatest possible contribution of
-    the not-yet-gathered groups to the integer accumulator.  All values
-    are exact integers, so on the split path an early decision against
-    the §4.3 firing tables is identical to the final one; threshold mode
-    scales the tables by ``confidence`` (rounded toward zero, i.e. toward
-    earlier decisions).
+    At every decision boundary (a multiple of ``policy.group_check``
+    8-row byte groups into the block) and for every remaining active
+    count ``k`` (capped at :data:`MAX_K`), the least / greatest possible
+    contribution of the rows after the boundary to the integer
+    accumulator.  All values are exact integers, so an early decision
+    against a certified firing table is identical to the final one;
+    threshold mode scales the tables by ``confidence`` (rounded toward
+    zero, i.e. toward earlier decisions).  ``lo`` / ``hi`` stack the
+    tables as ``(boundaries, MAX_K + 1, cols)``: ``lo[i][min(k, MAX_K)]``
+    bounds the rows after ``boundaries[i]`` when ``k`` of them are active.
     """
 
     def __init__(self, int_rows: np.ndarray, policy: EstimatorPolicy) -> None:
@@ -195,53 +201,199 @@ class PackedSuffixBounds:
                 f"packed bounds need (8*groups, cols) integer rows, got "
                 f"{rows.shape}"
             )
-        self.groups = rows.shape[0] // 8
-        self.cols = rows.shape[1]
-        self.check = policy.group_check
+        check = policy.group_check
         self.cap = MAX_K
         conf = policy.confidence if policy.mode == "threshold" else 1.0
         self.boundaries: List[int] = list(
-            range(self.check, self.groups, self.check)
+            range(check, rows.shape[0] // 8, check)
         )
-        self._lo = {}
-        self._hi = {}
-        for g in self.boundaries:
+        shape = (len(self.boundaries), self.cap + 1, rows.shape[1])
+        self.lo = np.zeros(shape, dtype=np.int64)
+        self.hi = np.zeros(shape, dtype=np.int64)
+        for i, g in enumerate(self.boundaries):
             suffix = rows[8 * g :]
             lo = _suffix_bound_table(np.minimum(suffix, 0), self.cap)
             hi = _suffix_bound_table(np.maximum(suffix, 0), self.cap)
             if conf < 1.0:
                 lo = np.ceil(conf * lo.astype(np.float64)).astype(np.int64)
                 hi = np.floor(conf * hi.astype(np.float64)).astype(np.int64)
-            self._lo[g] = lo
-            self._hi[g] = hi
-
-    def bounds_at(
-        self, boundary: int, remaining_popcount: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(lo, hi)`` int64 ``(n, cols)`` bounds before group ``boundary``."""
-        kk = np.minimum(remaining_popcount, self.cap).astype(np.intp)
-        return self._lo[boundary][kk], self._hi[boundary][kk]
+            self.lo[i], self.hi[i] = lo, hi
 
 
-def packed_fire_band(
-    threshold: float,
-    bias: np.ndarray,
-    unit: float,
-    acc_bound: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Safe integer band for the packed *unsplit* firing comparison.
+def vote_reads(fired: np.ndarray, vote: int) -> np.ndarray:
+    """Reads per block under the §4.3 vote settle, ``(K,)`` int64.
 
-    The off-mode unsplit layer compares ``unit * acc + bias_c > T`` in
-    float64.  ``acc >= fire_hi`` certainly fires it and
-    ``acc <= kill_lo`` certainly does not, under any float64 rounding of
-    the off-mode expression (the band is 5 integer steps wide, dwarfing
-    the ~eps-scale roundings of ``q`` and of ``unit*acc + bias``);
-    accumulators inside the band must replay the off-mode float
-    arithmetic.  Returns int64 ``(fire_hi, kill_lo)`` per column.
+    ``fired`` is the ``(K, n, cols)`` 0/1 block decisions.  Block ``k``
+    is read by every position whose vote is still open on some column
+    after blocks ``0..k-1``: fewer than ``vote`` fired and the vote
+    still in reach.  Settling is monotone, so the remaining blocks of a
+    settled position are never driven.
     """
-    bias_vec = np.asarray(bias, dtype=np.float64)
-    q = np.floor((float(threshold) - bias_vec) / float(unit))
-    lim = float(acc_bound) + 8.0
-    fire_hi = np.clip(q + 3.0, -lim, lim).astype(np.int64)
-    kill_lo = np.clip(q - 2.0, -lim, lim).astype(np.int64)
-    return fire_hi, kill_lo
+    blocks, n = fired.shape[:2]
+    reads = np.full(blocks, n, dtype=np.int64)
+    counts = np.zeros(fired.shape[1:], dtype=np.uint8)
+    for k in range(1, blocks):
+        counts += fired[k - 1]
+        remaining = blocks - k
+        # A vote settles only once it is reached (k >= vote) or out of
+        # reach (remaining < vote).
+        if k >= vote or remaining < vote:
+            settled = (counts >= vote) | (counts + remaining < vote)
+            reads[k] = n - int(settled.all(axis=1).sum())
+    return reads
+
+
+#: Bytes of float32 segment sums per chunk of the accounting pass.
+_PASS_BYTES = 4 << 20
+
+
+class SkipPass:
+    """The skip accounting of one estimated layer (both SEI engines).
+
+    Called with a certified :class:`repro.core.integer_gemm.IntegerLayer`
+    and the planned ``(n, K, H)`` 0/1 rows, it returns the fired-block
+    counts under the settle semantics (§4.3 vote cells already settled
+    do not count later blocks; ``counts >= vote`` is the layer's
+    output), the :class:`SkipStats`, the sense-amp comparisons that ran
+    (owned decisions minus early ones) and the per-block reads.  An
+    unsplit layer is one block with ``vote=1``.  In exact mode the
+    counts give the off kernel's plane; in threshold mode they are the
+    layer's outputs.
+    """
+
+    def __init__(self, policy: EstimatorPolicy, vote: int = 1) -> None:
+        self.policy = policy
+        self.vote = int(vote)
+        self.exact = policy.exact
+        self._operands: Optional[tuple] = None
+
+    def _compile(self, layer) -> tuple:
+        """Segment weights and stacked bounds of ``layer``, cached per
+        certified generation."""
+        cached = self._operands
+        if cached is not None and cached[0] is layer:
+            return cached
+        blocks, height = layer.weights.shape[:2]
+        cols = layer.cols
+        groups = -(-height // 8)
+        ints = np.zeros((blocks, 8 * groups, cols), dtype=np.int64)
+        ints[:, :height] = layer.weights[:, :, :cols]
+        bounds = [PackedSuffixBounds(block, self.policy) for block in ints]
+        boundaries = np.asarray(bounds[0].boundaries, dtype=np.int64)
+        # Segments end at the boundaries: ``span`` rows each, the last
+        # one short.  The extra all-ones column counts active rows.
+        span = 8 * self.policy.group_check if len(boundaries) else height
+        segments = len(boundaries) + 1
+        weights = np.zeros(
+            (blocks, segments * span, cols + 1), dtype=np.float32
+        )
+        weights[:, :height, :cols] = layer.weights[:, :, :cols]
+        weights[:, :height, cols] = 1.0
+        weights = weights.reshape(blocks, segments, span, cols + 1)
+        # Per boundary and remaining count: ``acc - F`` at or above
+        # ``-lo`` fires, at or below ``-1 - hi`` stays silent.
+        limits = np.concatenate(
+            [
+                -np.stack([b.lo for b in bounds]),
+                -1 - np.stack([b.hi for b in bounds]),
+            ],
+            axis=-1,
+        ).astype(np.float32)
+        self._operands = cached = (
+            layer, weights, limits, boundaries, 8 * groups,
+        )
+        return cached
+
+    def __call__(self, layer, rows: np.ndarray):
+        _, weights, limits, boundaries, slots = self._compile(layer)
+        n, blocks, height = rows.shape
+        cols = layer.cols
+        segments, span = weights.shape[1:3]
+        counts = np.zeros((n, cols), dtype=np.uint8)
+        stats = SkipStats()
+        reads = np.zeros(blocks, dtype=np.int64)
+        chunk = max(1, _PASS_BYTES // (4 * segments * (cols + 1)))
+        buf = np.zeros((min(n, chunk), segments * span), dtype=np.float32)
+        for start in range(0, n, chunk):
+            stop = min(n, start + chunk)
+            self._chunk(
+                layer, rows[start:stop], counts[start:stop], stats, reads,
+                buf[: stop - start], weights, limits, boundaries, slots,
+            )
+        return counts, stats, stats.est_positions - stats.est_decided, reads
+
+    def _chunk(self, layer, rows, counts, stats, reads, buf, weights,
+               limits, boundaries, slots) -> None:
+        m, blocks, height = rows.shape
+        cols = layer.cols
+        vote = self.vote
+        segments, span = weights.shape[1:3]
+        checks = len(boundaries)
+        ones = rows.sum(axis=2, dtype=np.int64)
+        alive = np.ones(m, dtype=bool)
+        settled = np.zeros((m, cols), dtype=bool)
+        for k in range(blocks):
+            live = int(alive.sum())
+            reads[k] += live
+            if live == 0:
+                break
+            buf[:, :height] = rows[:, k]
+            # (segments, m, cols + 1) prefix sums at every boundary; the
+            # last one is the complete accumulator.
+            acc = np.matmul(
+                buf.reshape(m, segments, span).transpose(1, 0, 2),
+                weights[k],
+            )
+            for i in range(1, segments):
+                acc[i] += acc[i - 1]
+            fire_at = (
+                layer.tables[k, 0] if layer.static
+                else layer.tables[k][ones[:, k]]
+            )
+            margin = acc[:, :, :cols] - fire_at
+            # ``first`` counts the boundaries a column stays open after:
+            # the index of its deciding boundary, ``checks`` if none.
+            first = np.zeros((m, cols), dtype=np.int16)
+            early = np.zeros((m, cols), dtype=bool)
+            open_ = np.ones((m, cols), dtype=bool)
+            for i in range(checks):
+                kk = np.minimum(
+                    ones[:, k] - acc[i, :, cols].astype(np.int64), MAX_K
+                )
+                bound = limits[k, i][kk]
+                fire = margin[i] >= bound[:, :cols]
+                closed = margin[i] <= bound[:, cols:]
+                closed |= fire
+                if not self.exact:
+                    early |= fire & open_
+                np.greater(open_, closed, out=open_)
+                first += open_
+            decided = ~open_
+            fired = margin[-1] >= 0
+            if not self.exact:
+                fired = np.where(decided, early, fired)
+            care = ~settled
+            care &= alive[:, None]
+            stats.est_positions += int(care.sum())
+            stats.est_decided += int((care & decided).sum())
+            # A position stops driving the block at the boundary where
+            # its last cared-for column is decided.
+            done_at = np.where(care, first, -1).max(axis=1)
+            stop = alive & (done_at < checks)
+            if stop.any():
+                at = done_at[stop]
+                stats.skipped_rows += int(
+                    (ones[stop, k] - acc[at, np.flatnonzero(stop), cols]).sum()
+                )
+                stats.skipped_slots += int((slots - 8 * boundaries[at]).sum())
+            counts += fired & care
+            remaining = blocks - 1 - k
+            settled |= (counts >= vote) | (counts + remaining < vote)
+            if remaining:
+                done = alive & settled.all(axis=1)
+                if done.any():
+                    stats.skipped_rows += int(ones[done, k + 1 :].sum())
+                    stats.skipped_slots += (
+                        int(done.sum()) * remaining * slots
+                    )
+                    alive &= ~done

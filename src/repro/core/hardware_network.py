@@ -43,7 +43,7 @@ from repro.nn.layers import Conv2D, Dense, Layer, MaxPool2D, ReLU
 from repro.nn.network import Sequential
 
 from repro.core.binarized import BinarizedNetwork
-from repro.core.estimate import EstimatorPolicy, SkipStats
+from repro.core.estimate import EstimatorPolicy, SkipPass
 from repro.core.homogenize import Partition, homogenize, natural_partition
 from repro.core.integer_gemm import (
     Certified,
@@ -341,9 +341,9 @@ def assemble_sei_network(
             )
         if not estimator.exact:
             raise ConfigurationError(
-                "the fused engine's estimator skips only settled block "
-                "votes, so it has no confidence to trade; threshold mode "
-                "runs on the packed engine"
+                "the fused engine prices the exact estimator's skips and "
+                "never trades outputs for them; threshold mode runs on "
+                "the packed engine"
             )
         if config.temporal is not None and config.temporal.enabled:
             raise ConfigurationError(
@@ -616,40 +616,40 @@ def certified_dac(record: dict, plane: bool = False) -> Optional[LayerKernel]:
     )
 
 
-def certify_unsplit(record: dict) -> Optional[Certified]:
-    """A thresholded unsplit layer's integer crossbar and firing table,
-    or None when it does not certify."""
-    xbar = record["crossbar"]
-    if record["threshold"] is None:
+def _skip_pass(estimator: Optional[EstimatorPolicy], vote: int = 1):
+    """The accounting pass of an estimated layer, or None when off."""
+    if estimator is None or not estimator.enabled:
         return None
-    threshold = float(record["threshold"])
-    bias = layer_bias(record["layer"])
-    return certify(
-        (xbar.array,),
-        lambda: integer_layer(
-            [xbar.fused_matrix], [grid_unit(xbar)], xbar.logical_rows,
-            [[threshold]], bias,
-        ),
-    )
+    return SkipPass(estimator, vote)
 
 
 def certified_unsplit(
-    record: dict, plane: bool = False, dtype=np.float32, lanes: bool = False
+    record: dict, plane: bool = False, dtype=np.float32, lanes: bool = False,
+    estimator: Optional[EstimatorPolicy] = None,
 ) -> Optional[LayerKernel]:
     """A thresholded unsplit SEI layer on the integer GEMM, or None.
 
     ``dtype`` is the row plan's (float32 rows feed the GEMM in place,
     uint8 rows are widened chunkwise); ``plane`` and the ``vote=1``
     emission are as in :func:`certified_dac`; ``lanes`` records the
-    byte lanes as ``popcount_events`` (the packed engine's count).
+    byte lanes as ``popcount_events`` (the packed engine's count).  An
+    enabled ``estimator`` adds the skip accounting pass
+    (:class:`repro.core.estimate.SkipPass`, one block).
     """
-    certified = certify_unsplit(record)
-    if certified is None:
-        return None
     xbar = record["crossbar"]
+    if record["threshold"] is None:
+        return None
     threshold = float(record["threshold"])
     bias = layer_bias(record["layer"])
     rows = xbar.logical_rows
+    certified = certify(
+        (xbar.array,),
+        lambda: integer_layer(
+            [xbar.fused_matrix], [grid_unit(xbar)], rows, [[threshold]], bias
+        ),
+    )
+    if certified is None:
+        return None
     scratch = Scratch()
 
     def fallback(bits: np.ndarray) -> np.ndarray:
@@ -661,6 +661,7 @@ def certified_unsplit(
         firing_kernel(
             certified, fallback, scratch, _active_rows,
             lanes=byte_lanes(rows) if lanes else 0,
+            skip=_skip_pass(estimator),
         ),
         RowPlan(dtype=dtype),
         binary_inputs("SEI inputs"),
@@ -718,12 +719,15 @@ def split_layer_kernel(
 
 
 def certified_split(
-    record: dict, plane: bool = False, dtype=np.float32, lanes: bool = False
+    record: dict, plane: bool = False, dtype=np.float32, lanes: bool = False,
+    estimator: Optional[EstimatorPolicy] = None,
 ) -> Optional[LayerKernel]:
     """A hidden split layer (§4.3 block vote) on the integer GEMM, or None.
 
     The K block GEMMs of each chunk decide against the per-(block,
-    active rows) certified tables and count the fired blocks.
+    active rows) certified tables and count the fired blocks.  An
+    enabled ``estimator`` adds the skip accounting pass, with the reads
+    of each block settled by the vote.
     """
     split = record["matrix"]
     certified = certify_split(split)
@@ -731,14 +735,16 @@ def certified_split(
         return None
     scratch = Scratch()
     float_vote = vote_kernel(split, scratch)
+    vote = split.decision.vote_threshold
     run = firing_kernel(
         certified,
         lambda rows: float_vote(rows.astype(np.float64))[0],
         scratch,
         _active_rows,
-        vote=split.decision.vote_threshold if plane else None,
+        vote=vote if plane else None,
         lanes=split.num_blocks * byte_lanes(split._gather.shape[1])
         if lanes else 0,
+        skip=_skip_pass(estimator, vote),
     )
     return split_layer_kernel(
         record, run, RowPlan(split._gather, dtype), plane, scratch
@@ -746,9 +752,6 @@ def certified_split(
 
 
 # -- the fused engine: collapsed crossbars, certified integer GEMM ---------------
-
-#: Positions per chunk of the deferred-block schedule.
-_EST_CHUNK = 1024
 
 
 def lower_fused(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
@@ -772,7 +775,7 @@ def _fused_dac(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
 
 
 def _fused_unsplit(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
-    certified = certified_unsplit(record)
+    certified = certified_unsplit(record, estimator=estimator)
     if certified is not None:
         return certified
     return sei_kernel(record["crossbar"], layer_bias(record["layer"]))
@@ -781,8 +784,9 @@ def _fused_unsplit(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
 def _fused_split(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
     """A hidden split layer (§4.3 block vote) on the compiled row plan.
 
-    On certified blocks this is :func:`certified_split`; otherwise the
-    plan gathers the padded ``(n·P, K, H)`` float64 layout, the K block
+    On certified blocks this is :func:`certified_split` (with the skip
+    accounting pass under an enabled ``estimator``); otherwise the plan
+    gathers the padded ``(n·P, K, H)`` float64 layout, the K block
     dgemms write into per-thread scratch, and the kernel returns the
     fired-block counts (:func:`repro.core.splitting.vote_kernel`, the
     kernel of the software split hooks too).  Either way the compute's
@@ -790,129 +794,15 @@ def _fused_split(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
     layout — the data the outer binarize would write, so a threshold in
     ``[0, 1)`` folds (``prebinarized``).
     """
+    kernel = certified_split(record, estimator=estimator)
+    if kernel is not None:
+        return kernel
     split = record["matrix"]
-    if not (estimator.enabled and split._fused_blocks):
-        kernel = certified_split(record)
-        if kernel is not None:
-            return kernel
-        scratch = Scratch()
-        return split_layer_kernel(
-            record, vote_kernel(split, scratch), RowPlan(split._gather),
-            scratch=scratch,
-        )
-    # Estimator hook-in (static cells only): the deferred-block vote
-    # schedule, on the certified integer operands when the blocks
-    # certify.
-    certified = certify_split(split)
     scratch = Scratch()
     return split_layer_kernel(
-        record,
-        _deferred_blocks(split, certified, scratch),
-        RowPlan(
-            split._gather, np.float64 if certified is None else np.float32
-        ),
+        record, vote_kernel(split, scratch), RowPlan(split._gather),
         scratch=scratch,
     )
-
-
-def _deferred_blocks(
-    split: HardwareSplitMatrix,
-    certified: Optional[Certified],
-    scratch: Scratch,
-):
-    """The deferred-block vote schedule (§4.3 vote-level early
-    termination).
-
-    Blocks are computed in order with the off path's arithmetic — the
-    certified integer GEMM and tables, or the float64 dgemms — but each
-    block's GEMM only sees the positions whose §4.3 vote is still live:
-    once every column of a position is settled (counts >= V, or V out of
-    reach), its remaining block crossbars are never driven.  Settling is
-    monotone, so the emitted counts equal the off path's.  Positions run
-    in chunks so each chunk's operands and vote state stay cache-hot.
-    """
-    vote = split.decision.vote_threshold
-    num_blocks, cols = split.num_blocks, split.cols
-    block_sizes = [len(b) for b in split.blocks]
-    bias = split.block_bias
-
-    def fires(layer, k: int, operand: np.ndarray) -> np.ndarray:
-        """Block ``k``'s sense-amp decisions for the live positions."""
-        if layer is None:
-            sums = operand @ split._block_matrices()[k]
-            sums += bias
-            limits = split.decision.thresholds_for(operand.sum(axis=1))
-            return sums > limits[:, None]
-        acc = scratch.get(
-            "est_acc", (len(operand), layer.weights.shape[2]), np.float32
-        )
-        np.matmul(operand, layer.weights[k], out=acc)
-        if layer.static:
-            limit = layer.tables[k, 0]
-        else:
-            limit = np.take(layer.tables[k], acc[:, cols].astype(np.intp), 0)
-        return acc[:, :cols] >= limit
-
-    def schedule(layer, rows, counts, stats, processed) -> None:
-        alive = np.arange(len(rows))
-        live = counts
-        for k in range(num_blocks):
-            processed[k] += alive.size
-            # Only block k's rows of the live positions are copied;
-            # before any retirement the operand is the strided view.
-            operand = rows[:, k] if live is counts else rows[alive, k]
-            np.add(live, fires(layer, k, operand), out=live,
-                   casting="unsafe")
-            remaining = num_blocks - 1 - k
-            # A position can only retire once a vote is reachable
-            # (k+1 >= vote) or unreachable (remaining < vote), and only
-            # while blocks remain.
-            if remaining == 0 or (k + 1 < vote and remaining >= vote):
-                continue
-            done = (
-                (live >= vote) | (live < vote - remaining)
-            ).all(axis=1)
-            if done.any():
-                d = int(done.sum())
-                stats.skipped_rows += np.count_nonzero(
-                    rows[alive[done], k + 1 :]
-                )
-                stats.skipped_slots += d * sum(block_sizes[k + 1 :])
-                stats.est_decided += d * cols * remaining
-                if live is not counts:
-                    counts[alive] = live
-                keep = ~done
-                alive, live = alive[keep], live[keep]
-                if alive.size == 0:
-                    return
-        if live is not counts:
-            counts[alive] = live
-
-    def run(gathered: np.ndarray):
-        n = gathered.shape[0]
-        layer = None if certified is None else certified.get()
-        if layer is None:
-            gathered = gathered.astype(np.float64, copy=False)
-        # The estimator owns every (position, block, column) sense-amp
-        # decision; the ones it closes early are exactly the skipped
-        # blocks' comparisons.
-        stats = SkipStats(est_positions=n * cols * num_blocks)
-        processed = np.zeros(num_blocks, dtype=np.int64)
-        counts = np.zeros((n, cols), dtype=np.uint8)
-        for start in range(0, n, _EST_CHUNK):
-            stop = min(n, start + _EST_CHUNK)
-            schedule(
-                layer, gathered[start:stop], counts[start:stop], stats,
-                processed,
-            )
-        return counts, Tally(
-            lambda: np.count_nonzero(gathered.reshape(n, -1), axis=1),
-            sa_events=stats.est_positions - stats.est_decided,
-            skip=stats,
-            reads=processed,
-        )
-
-    return run
 
 
 def _fused_analog_merge(

@@ -24,8 +24,10 @@ accumulator bound of 2**24 or more, or cells off the integer grid is
 not integral here and keeps its float64 kernel.
 
 The fused and packed engines share these operands, tables and kernels
-(:func:`firing_kernel`, :func:`accumulate`); the per-layer builders are
-in :mod:`repro.core.hardware_network`.
+(:func:`firing_kernel`, :func:`accumulate`), and the runtime estimator's
+accounting pass (:class:`repro.core.estimate.SkipPass`) runs on the same
+operands; the per-layer builders are in
+:mod:`repro.core.hardware_network`.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.core.estimate import vote_reads
 from repro.core.matrix_compute import Scratch, Tally
 
 __all__ = [
@@ -283,6 +286,7 @@ def firing_kernel(
     active: Callable[[np.ndarray], object],
     vote: Optional[int] = None,
     lanes: int = 0,
+    skip=None,
 ):
     """A thresholded layer's kernel on certified integer operands.
 
@@ -293,26 +297,48 @@ def firing_kernel(
     whose ``popcount_events`` are ``n · lanes``.  If the layer's arrays
     were re-programmed and no longer certify, ``fallback(rows)`` gives
     the float64 kernel's counts instead.
+
+    ``skip`` is the estimated layer's
+    :class:`repro.core.estimate.SkipPass`.  In exact mode the kernel
+    keeps each block's decisions for the vote-settled reads and hands
+    the recorder the pass as a callable; in threshold mode the pass
+    runs on every call and supplies the counts.
     """
 
     def run(rows: np.ndarray):
         n = rows.shape[0]
         layer = certified.get()
+        reads = account = None
         if layer is None:
             counts = fallback(rows)
         else:
-            counts = np.empty((n, layer.cols), np.uint8)
-            _fire(layer, rows.reshape(n, layer.weights.shape[0], -1),
-                  counts, scratch)
+            planned = rows.reshape(n, layer.weights.shape[0], -1)
+            if skip is not None and not skip.exact:
+                counts, stats, sa_events, reads = skip(layer, planned)
+                account = lambda: (stats, sa_events)  # noqa: E731
+            else:
+                counts = np.empty((n, layer.cols), np.uint8)
+                fired = None if skip is None else scratch.get(
+                    "gemm_blocks", (len(layer.weights), n, layer.cols),
+                    np.uint8,
+                )
+                _fire(layer, planned, counts, scratch, fired)
+                if skip is not None:
+                    reads = vote_reads(fired, skip.vote)
+                    account = lambda: skip(layer, planned)[1:3]  # noqa: E731
         if vote is not None:
             np.greater_equal(counts, vote, out=counts)
-        return counts, Tally(active(rows), popcount_events=n * lanes)
+        return counts, Tally(
+            active(rows), popcount_events=n * lanes, skip=account,
+            reads=reads,
+        )
 
     return run
 
 
-def _fire(layer: IntegerLayer, rows, counts, scratch) -> None:
-    """Fired-block counts of planned rows into ``counts``."""
+def _fire(layer: IntegerLayer, rows, counts, scratch, blocks=None) -> None:
+    """Fired-block counts of planned rows into ``counts``, and each
+    block's decisions into ``blocks`` (``(K, n, cols)``) when given."""
     cols = layer.cols
 
     def emit(acc, start, stop):
@@ -334,6 +360,8 @@ def _fire(layer: IntegerLayer, rows, counts, scratch) -> None:
                 fired = np.greater_equal(
                     acc[k, :, :cols], limit, out=out if k == 0 else hit
                 )
+            if blocks is not None:
+                blocks[k, start:stop] = fired.reshape(out.shape)
             if k:
                 out += fired.reshape(out.shape)
 

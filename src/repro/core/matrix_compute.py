@@ -224,9 +224,11 @@ class Tally(NamedTuple):
     """What one kernel call did, for the read clocks and the recorder.
 
     ``active`` is the per-position active-row counts, or a callable
-    producing them (evaluated only while a recorder is on).  ``reads``
-    is the read events per device array of the kernel; ``None`` means
-    every array read every position.
+    producing them (evaluated only while a recorder is on); ``skip`` is
+    an estimated layer's :class:`repro.core.estimate.SkipStats`, or a
+    callable producing ``(SkipStats, sa_events)`` on the same terms.
+    ``reads`` is the read events per device array of the kernel;
+    ``None`` means every array read every position.
     """
 
     active: Any

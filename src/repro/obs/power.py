@@ -84,15 +84,19 @@ def record_layer(
     zero-argument callable producing them, so a kernel that does not
     need the counts itself only reduces its rows while a recorder is
     on.  ``skip`` is the call's :class:`repro.core.estimate.SkipStats`
-    (or ``None``); the other keywords pass through to
-    :func:`record_mvm_batch`.  Recording never touches an RNG, so traced
-    runs draw the same noise as untraced ones.
+    (or ``None``), or likewise a zero-argument callable producing the
+    pair ``(SkipStats, sa_events)``, so an estimated layer runs its
+    accounting pass only while a recorder is on.  The other keywords
+    pass through to :func:`record_mvm_batch`.  Recording never touches
+    an RNG, so traced runs draw the same noise as untraced ones.
     """
     rec = active()
     if rec is None or layer_index is None:
         return
     if callable(active_counts):
         active_counts = active_counts()
+    if callable(skip):
+        skip, fields["sa_events"] = skip()
     if skip is not None:
         fields.update(
             skipped_rows=skip.skipped_rows,
@@ -138,8 +142,8 @@ def record_mvm_batch(
     where the blocks share one sense-amp bank).
 
     Engines that never materialise a float bit matrix (the packed
-    popcount engine) pass ``bits=None`` with ``active_counts`` (the
-    per-position active-row totals, already popcounted) and ``rows``
+    engine) pass ``bits=None`` with ``active_counts`` (the
+    per-position active-row totals, already reduced) and ``rows``
     (the logical row count) instead — the derived metrics are identical.
     ``popcount_events`` counts the byte lanes of selection bits a
     packed call covers (``n · K · ceil(H/8)``), the packed engine's

@@ -64,6 +64,10 @@ __all__ = [
 #: the ``skip_exact`` oracle pass can (and must) cover.
 ESTIMATOR_ENGINES = ("fused", "packed")
 
+#: The ``engine`` of a ``skip_exact`` verdict comparing the two
+#: estimator engines' exact-mode counters with each other.
+COUNTER_PAIR = "fused=packed"
+
 logger = obs.get_logger("testing")
 
 
@@ -116,6 +120,10 @@ class SkipExactResult:
     (fused) or is pure integer arithmetic (packed), and anything it
     cannot prove falls back to the off arithmetic.  This pass holds it
     to that promise — no tolerance, ``array_equal`` or bust.
+
+    A verdict whose ``engine`` is :data:`COUNTER_PAIR` compares the
+    engines with each other instead: ``mismatched_samples`` then counts
+    the ``hw/layer*`` exports and read clocks that differ.
     """
 
     case_name: str
@@ -127,6 +135,12 @@ class SkipExactResult:
     def describe(self) -> str:
         if self.identical:
             return f"{self.case_name}/{self.engine}: bit-identical"
+        if self.engine == COUNTER_PAIR:
+            return (
+                f"{self.case_name}/{self.engine}: {self.mismatched_samples} "
+                f"hw/layer* export(s) or read clock(s) differ between "
+                f"fused-exact and packed-exact"
+            )
         return (
             f"{self.case_name}/{self.engine}: exact estimator diverged "
             f"from estimator-off on {self.mismatched_samples} sample(s), "
@@ -156,6 +170,13 @@ def run_skip_exact(
     express.  Each case x engine pair compiles two fresh sessions from
     the same artefacts — identical specs except the estimator — and
     compares full-batch outputs with ``np.array_equal``.
+
+    On integral cases (no programming or read variation) run for both
+    estimator engines, a second check holds "packed = fused" for the
+    estimator too: the exact sessions' ``hw/layer*`` exports and the
+    ``reads_since_program`` of every device array must be equal
+    (:data:`COUNTER_PAIR` verdicts).  ``popcount_events`` is excluded;
+    only the packed engine records it.
     """
     from repro.core.estimate import EstimatorPolicy
 
@@ -165,6 +186,7 @@ def run_skip_exact(
     results: List[SkipExactResult] = []
     for case in cases:
         built = build_case(case)
+        counters = {}
         for engine in engines:
             if engine not in case.engines:
                 continue
@@ -176,7 +198,9 @@ def run_skip_exact(
                 "conformance.skip_exact", case=case.name, engine=engine
             ):
                 off = runner._execute(built, spec_off, built.inputs)
-                exact = runner._execute(built, spec_exact, built.inputs)
+                exact, counters[engine] = _exact_counters(
+                    runner, built, spec_exact
+                )
             if np.array_equal(off, exact):
                 results.append(SkipExactResult(case.name, engine, True))
             else:
@@ -191,7 +215,39 @@ def run_skip_exact(
                     )
                 )
             obs.count("conformance/skip_exact_pairs")
+        integral = case.program_sigma <= 0 and case.read_sigma <= 0
+        if integral and set(ESTIMATOR_ENGINES) <= set(counters):
+            fused, packed = (counters[e] for e in ESTIMATOR_ENGINES)
+            differ = sum(
+                fused.get(key) != packed.get(key)
+                for key in set(fused) | set(packed)
+            )
+            results.append(
+                SkipExactResult(
+                    case.name, COUNTER_PAIR, differ == 0,
+                    mismatched_samples=differ,
+                )
+            )
     return results
+
+
+def _exact_counters(runner, built, spec):
+    """One recorded run of ``spec``: its outputs, and its ``hw/layer*``
+    exports (without ``popcount_events``) and per-array read clocks."""
+    session = runner._session(built, spec)
+    with obs.recording() as rec:
+        out = session.infer_batch(built.inputs)
+    exported = rec.metrics.as_dict()
+    counters = {
+        (kind, name): value
+        for kind in ("counters", "gauges", "histograms")
+        for name, value in exported.get(kind, {}).items()
+        if name.startswith("hw/layer")
+        and not name.endswith("/popcount_events")
+    }
+    for name, array in session.device_arrays.items():
+        counters["reads", name] = array.health().reads_since_program
+    return out, counters
 
 
 @dataclass

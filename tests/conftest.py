@@ -143,3 +143,99 @@ def unfold_oracle(layer, x, fn, add_bias=True):
     raise ShapeError(
         f"cannot apply a matrix compute to {type(layer).__name__}"
     )
+
+
+def retire_oracle(ints, tables, rows, vote, group_check, confidence=1.0):
+    """Per-position early-retirement semantics of the runtime estimator.
+
+    The reference the vectorized accounting pass
+    (:class:`repro.core.estimate.SkipPass`) is pinned to, written one
+    position and one 8-row byte group at a time.  ``ints`` is the
+    ``(K, H, cols)`` integer block weights (zero rows pad short blocks),
+    ``tables`` the ``(K, n_t, cols)`` minimal firing accumulators by
+    active-row count (one row when they do not vary with it), ``rows`` the ``(n, K, H)`` 0/1 planned rows.
+
+    Per block, every ``group_check`` groups, a column still owned by the
+    estimator is decided once ``acc + lo >= F`` (fires) or
+    ``acc + hi <= F - 1`` (silent), with ``lo``/``hi`` the sums of the
+    ``k`` most negative / positive remaining weights for ``k`` remaining
+    active rows (the whole remaining sum past 31), scaled toward zero by
+    ``confidence``; a position whose owned columns are all decided
+    skips the block's remaining groups.  Undecided columns take the
+    complete accumulator's decision.  A column whose §4.3 vote is
+    settled is no longer owned, and a position with every vote settled
+    skips the remaining blocks.  Returns ``(counts, stats, sa_events,
+    reads)`` with ``stats`` the four skip counters.
+    """
+    import math
+
+    ints = np.asarray(ints, dtype=np.int64)
+    blocks, height, cols = ints.shape
+    groups = -(-height // 8)
+    slots = 8 * groups
+    padded = np.zeros((blocks, slots, cols), dtype=np.int64)
+    padded[:, :height] = ints
+    bits = np.zeros((rows.shape[0], blocks, slots), dtype=np.int64)
+    bits[:, :, :height] = rows
+    checks = set(range(group_check, groups, group_check))
+
+    def bound(suffix, k, sign):
+        parts = np.sort(
+            np.minimum(suffix, 0) if sign < 0 else -np.maximum(suffix, 0),
+            axis=0,
+        )
+        total = parts[: len(suffix) if k >= 32 else k].sum(axis=0)
+        total = total if sign < 0 else -total
+        if confidence < 1.0:
+            scaled = [confidence * float(v) for v in total]
+            rounding = math.ceil if sign < 0 else math.floor
+            total = np.array([rounding(v) for v in scaled], dtype=np.int64)
+        return total
+
+    n = rows.shape[0]
+    stats = dict(skipped_rows=0, skipped_slots=0, est_positions=0,
+                 est_decided=0)
+    counts = np.zeros((n, cols), dtype=np.int64)
+    reads = np.zeros(blocks, dtype=np.int64)
+    for p in range(n):
+        settled = np.zeros(cols, dtype=bool)
+        for k in range(blocks):
+            if settled.all():
+                remaining = blocks - k
+                stats["skipped_rows"] += int(bits[p, k:].sum())
+                stats["skipped_slots"] += remaining * slots
+                break
+            reads[k] += 1
+            x, w = bits[p, k], padded[k]
+            # A one-row table (one threshold) does not vary with the
+            # active-row count.
+            active = int(x.sum()) if len(tables[k]) > 1 else 0
+            fire_at = tables[k][active].astype(np.int64)
+            owned = ~settled
+            stats["est_positions"] += int(owned.sum())
+            acc = np.zeros(cols, dtype=np.int64)
+            fired = np.zeros(cols, dtype=bool)
+            done = False
+            for g in range(groups):
+                if g in checks:
+                    rest = int(x[8 * g:].sum())
+                    lo = bound(w[8 * g:], rest, -1)
+                    hi = bound(w[8 * g:], rest, +1)
+                    fire = acc + lo >= fire_at
+                    newly = owned & (fire | (acc + hi <= fire_at - 1))
+                    fired |= newly & fire
+                    owned &= ~newly
+                    stats["est_decided"] += int(newly.sum())
+                    if newly.any() and not owned.any():
+                        stats["skipped_rows"] += rest
+                        stats["skipped_slots"] += slots - 8 * g
+                        done = True
+                        break
+                acc += x[8 * g:8 * g + 8] @ w[8 * g:8 * g + 8]
+            if not done:
+                fired |= owned & (acc >= fire_at)
+            counts[p] += fired & ~settled
+            remaining = blocks - 1 - k
+            settled |= (counts[p] >= vote) | (counts[p] + remaining < vote)
+    sa_events = stats["est_positions"] - stats["est_decided"]
+    return counts, stats, sa_events, reads

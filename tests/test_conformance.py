@@ -37,8 +37,10 @@ from repro.testing import (
     iter_zoo_shaped_cases,
     refresh_corpus,
     run_conformance,
+    run_skip_exact,
     verify_corpus,
 )
+from repro.testing.conformance import COUNTER_PAIR
 
 pytestmark = pytest.mark.conformance
 
@@ -195,6 +197,46 @@ class TestDifferentialRunner:
         )
         assert runner.policy_for("fused", SMALL).mode == "agreement"
         assert runner.policy_for("adc", SMALL).mode == "agreement"
+
+
+class TestSkipExact:
+    """Exact estimator = off per engine, and fused = packed counters."""
+
+    #: Two convs, the second split: an estimated split layer.
+    CASE = replace(
+        SMALL, name="unit-skip", conv_channels=(3, 4), max_crossbar_size=24,
+        engines=("fused", "packed"),
+    )
+
+    def test_integral_case_adds_counter_verdict(self):
+        results = run_skip_exact([self.CASE], runner=_fast_runner())
+        assert [r.engine for r in results] == ["fused", "packed", COUNTER_PAIR]
+        assert all(r.identical for r in results), [
+            r.describe() for r in results
+        ]
+
+    def test_counter_divergence_detected(self, monkeypatch):
+        # A packed split layer lowered without its accounting pass keeps
+        # exact = off but records no skip counters.
+        from repro.core import packed
+
+        split = packed._PACKED["split"]
+        monkeypatch.setitem(
+            packed._PACKED, "split",
+            lambda record, estimator: split(record, type(estimator)()),
+        )
+        results = run_skip_exact([self.CASE], runner=_fast_runner())
+        verdicts = {r.engine: r for r in results}
+        assert verdicts["fused"].identical and verdicts["packed"].identical
+        pair = verdicts[COUNTER_PAIR]
+        assert not pair.identical and pair.mismatched_samples > 0
+        assert "fused-exact and packed-exact" in pair.describe()
+
+    def test_variation_case_has_no_counter_verdict(self):
+        case = replace(self.CASE, name="unit-skip-noise", program_sigma=0.2)
+        results = run_skip_exact([case], runner=_fast_runner())
+        assert [r.engine for r in results] == ["fused", "packed"]
+        assert all(r.identical for r in results)
 
 
 class TestFaultInjection:

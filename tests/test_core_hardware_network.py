@@ -266,6 +266,22 @@ class TestRowPlan:
         )
         np.testing.assert_array_equal(out, expected)
 
+    def test_scratch_plane_is_overwritten(self, rng):
+        # The planned rows live in per-thread scratch: the next gather on
+        # the same plan and thread reuses (and overwrites) the storage.
+        from repro.core.matrix_compute import RowPlan, Scratch
+        from repro.nn.layers import Dense
+
+        layout = np.array([np.arange(0, 20), np.arange(20, 40)])
+        plan, scratch = RowPlan(layout, dtype=np.uint8), Scratch()
+        layer = Dense(40, 6, rng=rng)
+        bits = (rng.random((4, 40)) < 0.4).astype(np.uint8)
+        first = plan.gather(layer, bits, scratch)
+        stale = first.copy()
+        second = plan.gather(layer, 1 - bits, scratch)
+        assert not np.array_equal(stale, second)
+        assert np.shares_memory(first, second)
+
 
 class TestAssembleADC:
     def test_full_precision_matches_float_predictions(

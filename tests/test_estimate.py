@@ -1,7 +1,7 @@
 """Unit and integration tests for the runtime activation estimator.
 
 The estimator's contract has two halves: a *soundness* half (the suffix
-bound tables and fire bands really do bracket every reachable final sum,
+bound tables really do bracket every reachable final sum,
 so ``mode='exact'`` decisions match the off-mode arithmetic bit for bit)
 and a *plumbing* half (engines that cannot honour the contract reject
 the policy, and the skipped work flows into the metrics the power model
@@ -11,6 +11,8 @@ randomized small matrices plus the tiny compiled network.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.engines import EngineSpec, compile_network
@@ -18,13 +20,17 @@ from repro.core.estimate import (
     MAX_K,
     EstimatorPolicy,
     PackedSuffixBounds,
+    SkipPass,
     _suffix_bound_table,
-    packed_fire_band,
+    vote_reads,
 )
 from repro.core.hardware_network import HardwareConfig
+from repro.core.integer_gemm import integer_layer
+from repro.core.splitting import SplitDecision
 from repro.errors import ConfigurationError
 from repro.hw.array import TemporalConfig
 from repro.hw.device import RRAMDevice
+from tests.conftest import retire_oracle
 
 
 class TestEstimatorPolicy:
@@ -97,15 +103,14 @@ class TestPackedSuffixBounds:
         bounds = PackedSuffixBounds(rows, policy)
         assert bounds.boundaries == [2, 4]
         assert bounds.cap == MAX_K
-        for g in bounds.boundaries:
+        for i, g in enumerate(bounds.boundaries):
             suffix = rows[8 * g :]
             for _ in range(40):
                 mask = rng.random(suffix.shape[0]) < 0.3
                 remaining = suffix[mask].sum(axis=0)
-                k = np.array([int(mask.sum())])
-                lo, hi = bounds.bounds_at(g, k)
-                assert np.all(lo[0] <= remaining)
-                assert np.all(remaining <= hi[0])
+                k = min(int(mask.sum()), MAX_K)
+                assert np.all(bounds.lo[i][k] <= remaining)
+                assert np.all(remaining <= bounds.hi[i][k])
 
     def test_confidence_tightens_toward_zero(self, rng):
         rows = rng.integers(-200, 201, size=(32, 4)).astype(np.int64)
@@ -113,12 +118,8 @@ class TestPackedSuffixBounds:
         scaled = PackedSuffixBounds(
             rows, EstimatorPolicy(mode="threshold", confidence=0.6)
         )
-        for g in exact.boundaries:
-            kk = np.arange(8)
-            lo_e, hi_e = exact.bounds_at(g, kk)
-            lo_s, hi_s = scaled.bounds_at(g, kk)
-            assert np.all(lo_s >= lo_e)
-            assert np.all(hi_s <= hi_e)
+        assert np.all(scaled.lo >= exact.lo)
+        assert np.all(scaled.hi <= exact.hi)
 
     def test_rejects_ragged_rows(self):
         policy = EstimatorPolicy(mode="exact")
@@ -126,32 +127,149 @@ class TestPackedSuffixBounds:
             PackedSuffixBounds(np.zeros((12, 3), dtype=np.int64), policy)
 
 
-class TestPackedFireBand:
-    def test_band_is_sound_against_float_comparison(self, rng):
-        # Any accumulator at/above fire_hi fires the off-mode float64
-        # comparison; any at/below kill_lo does not.  The inside of the
-        # band is the only place a replay is ever needed.
-        for _ in range(30):
-            unit = float(rng.uniform(0.001, 0.1))
-            threshold = float(rng.uniform(0.0, 1.0))
-            bias = rng.normal(scale=0.5, size=6)
-            fire_hi, kill_lo = packed_fire_band(
-                threshold, bias, unit, acc_bound=500
-            )
-            accs = np.arange(-500, 501, dtype=np.int64)
-            fired = unit * accs[:, None] + bias[None, :] > threshold
-            above = accs[:, None] >= fire_hi[None, :]
-            below = accs[:, None] <= kill_lo[None, :]
-            assert np.all(fired[above])
-            assert not np.any(fired[below])
+#: Estimator policies the accounting pass is pinned under.
+_MODES = {
+    "exact": dict(mode="exact"),
+    "threshold-1.0": dict(mode="threshold", confidence=1.0),
+    "threshold-0.6": dict(mode="threshold", confidence=0.6),
+}
 
-    def test_band_width_is_finite(self):
-        fire_hi, kill_lo = packed_fire_band(
-            0.5, np.zeros(3), 0.01, acc_bound=100
+
+class TestSkipPassOracle:
+    """The vectorized accounting pass equals the per-position oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        split=st.booleans(),
+        blocks=st.integers(1, 4),
+        group_check=st.integers(1, 4),
+        mode=st.sampled_from(sorted(_MODES)),
+        data=st.data(),
+    )
+    def test_matches_retire_oracle(
+        self, derived_rng, seed, split, blocks, group_check, mode, data
+    ):
+        rng = derived_rng(seed)
+        blocks = blocks if split else 1
+        vote = data.draw(st.integers(1, blocks)) if split else 1
+        heights = [int(h) for h in rng.integers(1, 41, size=blocks)]
+        height, cols, n = max(heights), int(rng.integers(1, 6)), 12
+        unit = 1.0 / 64
+        ints = np.zeros((blocks, height, cols), dtype=np.int64)
+        for k, h in enumerate(heights):
+            ints[k, :h] = rng.integers(-20, 21, size=(h, cols))
+        # Thresholds on half-integer accumulators certify.
+        c0 = float(rng.integers(-10, 11)) + 0.5
+        if split:
+            decision = SplitDecision(
+                unit * c0, unit * float(rng.integers(-1, 2)), vote
+            )
+            limits = [decision.thresholds_for(np.arange(h + 1.0))
+                      for h in heights]
+        else:
+            limits = [[unit * c0]]
+        layer = integer_layer(
+            [unit * block[:h] for block, h in zip(ints, heights)],
+            [unit] * blocks, height, limits,
         )
-        assert np.all(fire_hi > kill_lo)
-        assert np.all(np.abs(fire_hi) <= 108)
-        assert np.all(np.abs(kill_lo) <= 108)
+        assert layer is not None
+        rows = np.zeros((n, blocks, height), dtype=np.uint8)
+        for k, h in enumerate(heights):
+            rows[:, k, :h] = rng.random((n, h)) < rng.uniform(0.1, 0.9)
+        policy = EstimatorPolicy(group_check=group_check, **_MODES[mode])
+
+        counts, stats, sa_events, reads = SkipPass(policy, vote)(layer, rows)
+        expected = retire_oracle(
+            ints, layer.tables, rows, vote, group_check,
+            policy.confidence if mode != "exact" else 1.0,
+        )
+        np.testing.assert_array_equal(counts, expected[0])
+        assert vars(stats) == expected[1]
+        assert sa_events == expected[2]
+        np.testing.assert_array_equal(reads, expected[3])
+        if policy.exact:
+            # Exact mode: the off kernel's plane and vote-settled reads.
+            ones = rows.sum(axis=2)
+            fired = np.zeros((blocks, n, cols), dtype=np.uint8)
+            for k in range(blocks):
+                fire_at = (
+                    layer.tables[k, 0] if layer.static
+                    else layer.tables[k][ones[:, k]]
+                )
+                fired[k] = rows[:, k].astype(np.int64) @ ints[k] >= fire_at
+            np.testing.assert_array_equal(
+                counts >= vote, fired.sum(axis=0) >= vote
+            )
+            np.testing.assert_array_equal(
+                vote_reads(fired, vote), expected[3]
+            )
+
+
+class TestSkipPassCost:
+    """Exact mode prices the skip only while a recorder is on."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = []
+        original = SkipPass.__call__
+
+        def spy(self, layer, rows):
+            counter.append(rows.shape)
+            return original(self, layer, rows)
+
+        monkeypatch.setattr(SkipPass, "__call__", spy)
+        return counter
+
+    @staticmethod
+    def _compile(engine, tiny_quantized, mode, confidence=1.0):
+        spec = EngineSpec(
+            name=engine,
+            hardware=HardwareConfig(
+                device=RRAMDevice(bits=4), max_crossbar_size=128
+            ),
+            estimator=EstimatorPolicy(mode=mode, confidence=confidence),
+        )
+        compiled = compile_network(
+            tiny_quantized.network, tiny_quantized.thresholds, spec
+        )
+        estimated = sum(
+            record["kind"] in ("unsplit", "split")
+            and record["threshold"] is not None
+            for record in compiled.hardware_layers.values()
+        )
+        assert estimated > 0
+        return compiled, estimated
+
+    @pytest.mark.parametrize("engine", ["fused", "packed"])
+    def test_exact_runs_the_pass_only_under_a_recorder(
+        self, engine, calls, tiny_quantized, tiny_dataset
+    ):
+        compiled, estimated = self._compile(engine, tiny_quantized, "exact")
+        images = tiny_dataset["test_x"][:8]
+        compiled.predict(images)
+        compiled.predict(images)
+        assert calls == []
+        with obs.recording():
+            compiled.predict(images)
+        assert len(calls) == estimated
+        with obs.recording():
+            compiled.predict(images)
+        assert len(calls) == 2 * estimated
+
+    def test_threshold_runs_the_pass_on_every_call(
+        self, calls, tiny_quantized, tiny_dataset
+    ):
+        compiled, estimated = self._compile(
+            "packed", tiny_quantized, "threshold", confidence=0.8
+        )
+        images = tiny_dataset["test_x"][:8]
+        compiled.predict(images)
+        compiled.predict(images)
+        assert len(calls) == 2 * estimated
+        with obs.recording():
+            compiled.predict(images)
+        assert len(calls) == 3 * estimated
 
 
 class TestEngineGates:

@@ -1,12 +1,11 @@
-"""Unit and equivalence tests for the packed popcount SEI engine.
+"""Unit and equivalence tests for the packed SEI engine.
 
-The packed engine re-lowers the fused crossbar arithmetic onto bit-plane
-activations, precomputed per-group partial-sum tables and integer
-decision thresholds.  These tests pin each primitive against a brute
-force oracle (pack/unpack round-trips, group tables, decision tables)
-and the assembled engine against the fused engine — including the
-exact-float32 DAC path, the folded binarize passes, the fallback to the
-fused kernels, fresh folded outputs and serving-tile batch invariance.
+The packed engine runs the certified integer GEMM on uint8 selection
+planes and decides against integer firing tables.  These tests pin the
+decision tables against the float64 comparison and the assembled engine
+against the fused engine — including the exact-float32 DAC path, the
+folded binarize passes, the fallback to the fused kernels, fresh folded
+outputs and serving-tile batch invariance.
 """
 
 import numpy as np
@@ -16,13 +15,7 @@ from repro.core.binarized import binarize
 from repro.core.engines import EngineSpec, compile_network
 from repro.core.hardware_network import HardwareConfig
 from repro.core.integer_gemm import integer_layer
-from repro.core.packed import (
-    GROUP_ROWS,
-    PackedMatrix,
-    build_group_tables,
-)
 from repro.core.splitting import SplitDecision
-from repro.errors import ConfigurationError, ShapeError
 from repro.hw.device import RRAMDevice
 
 TIGHT = dict(rtol=1e-9, atol=1e-12)
@@ -30,186 +23,6 @@ TIGHT = dict(rtol=1e-9, atol=1e-12)
 
 def _bits(rng, n, rows, p=0.4):
     return (rng.random((n, rows)) < p).astype(np.uint8)
-
-
-def _planned(matrix, bits):
-    """Logical ``(n, rows)`` bits gathered into the matrix's row layout."""
-    from repro.core.matrix_compute import Scratch
-    from repro.nn.layers import Dense
-
-    layer = Dense(matrix.rows, matrix.cols, rng=np.random.default_rng(0))
-    return matrix.plan().gather(layer, bits, Scratch())
-
-
-class TestPackRoundTrip:
-    """``PackedMatrix.pack`` on the planned row layout: the byte planes
-    the kernels read."""
-
-    @staticmethod
-    def _matrix(rows, blocks=1):
-        index = np.array_split(np.arange(rows), blocks)
-        return PackedMatrix(
-            [np.ones((len(block), 3)) for block in index],
-            [1.0] * blocks, index, rows,
-        )
-
-    @pytest.mark.parametrize("rows", [1, 7, 8, 9, 40, 63, 64, 65])
-    def test_round_trip(self, rng, rows):
-        matrix = self._matrix(rows, blocks=min(2, rows))
-        bits = _bits(rng, 6, rows)
-        codes = matrix.pack(_planned(matrix, bits))
-        assert codes.shape == (6, matrix.num_blocks * matrix.groups_per_block)
-        planned = np.unpackbits(
-            codes.reshape(6, matrix.num_blocks, -1), axis=-1
-        )
-        # Every logical row comes back from its word line; the padding
-        # word lines (layout entry == rows) read as zero.
-        recovered = np.zeros((6, rows + 1), dtype=np.uint8)
-        recovered[:, matrix.layout] = planned
-        np.testing.assert_array_equal(recovered[:, :rows], bits)
-        assert not planned[:, matrix.layout == rows].any()
-
-    def test_packbits_bit_order(self):
-        # Row 8*g + j occupies bit 7-j of byte g (numpy MSB-first).
-        matrix = self._matrix(16)
-        bits = np.zeros((1, 16), dtype=np.uint8)
-        bits[0, 0] = bits[0, 9] = 1
-        codes = matrix.pack(_planned(matrix, bits))
-        assert codes[0].tolist() == [0x80, 0x40]
-
-    def test_rejects_non_2d(self):
-        matrix = self._matrix(8)
-        with pytest.raises(ShapeError):
-            _planned(matrix, np.zeros(8, dtype=np.uint8))
-
-
-class TestGroupTables:
-    def test_matches_brute_force(self, rng):
-        rows = rng.integers(-255, 256, size=(16, 5)).astype(np.int64)
-        tables = build_group_tables(rows)
-        assert tables.shape == (2, 256, 5)
-        for g in range(2):
-            group = rows[g * GROUP_ROWS : (g + 1) * GROUP_ROWS]
-            for pattern in rng.integers(0, 256, size=32):
-                selected = [
-                    group[j]
-                    for j in range(GROUP_ROWS)
-                    if pattern & (1 << (GROUP_ROWS - 1 - j))
-                ]
-                expected = (
-                    np.sum(selected, axis=0)
-                    if selected
-                    else np.zeros(5, dtype=np.int64)
-                )
-                np.testing.assert_array_equal(
-                    tables[g, pattern].astype(np.int64), expected
-                )
-
-    def test_dtype_widens_when_needed(self):
-        small = np.full((8, 2), 255, dtype=np.int64)
-        assert build_group_tables(small).dtype == np.int16
-        large = np.full((8, 2), 50_000, dtype=np.int64)
-        assert build_group_tables(large).dtype == np.int32
-
-    def test_validation(self):
-        with pytest.raises(ShapeError, match="multiple"):
-            build_group_tables(np.zeros((9, 3), dtype=np.int64))
-        with pytest.raises(ConfigurationError, match="integer"):
-            build_group_tables(np.zeros((8, 3)))
-
-
-class TestPackedMatrix:
-    def _matrix(self, rng, rows=52, cols=6, blocks=(0, 20, 52), unit=0.01,
-                permute=False):
-        order = np.arange(rows)
-        if permute:
-            order = rng.permutation(rows)
-        block_index = [
-            order[lo:hi] for lo, hi in zip(blocks[:-1], blocks[1:])
-        ]
-        ints = rng.integers(-200, 201, size=(rows, cols))
-        units = [unit * (k + 1) for k in range(len(block_index))]
-        mats = [
-            units[k] * ints[idx].astype(np.float64)
-            for k, idx in enumerate(block_index)
-        ]
-        return (
-            PackedMatrix(mats, units, block_index, rows),
-            ints,
-            block_index,
-            units,
-        )
-
-    def _oracle(self, bits, ints, block_index, units):
-        """Float block sums straight from the definition of Equ. 6."""
-        out = np.zeros((bits.shape[0], ints.shape[1]))
-        for k, idx in enumerate(block_index):
-            out += units[k] * (
-                bits[:, idx].astype(np.float64) @ ints[idx].astype(np.float64)
-            )
-        return out
-
-    def _sums(self, matrix, bits):
-        acc = matrix.accumulate(matrix.pack(_planned(matrix, bits)))
-        return sum(matrix.units[k] * acc[k] for k in range(matrix.num_blocks))
-
-    def test_compute_matches_oracle_contiguous(self, rng):
-        matrix, ints, block_index, units = self._matrix(rng)
-        bits = _bits(rng, 9, 52)
-        np.testing.assert_allclose(
-            self._sums(matrix, bits),
-            self._oracle(bits, ints, block_index, units),
-            **TIGHT,
-        )
-
-    def test_compute_matches_oracle_gather(self, rng):
-        matrix, ints, block_index, units = self._matrix(rng, permute=True)
-        bits = _bits(rng, 9, 52)
-        np.testing.assert_allclose(
-            self._sums(matrix, bits),
-            self._oracle(bits, ints, block_index, units),
-            **TIGHT,
-        )
-
-    def test_ragged_blocks_pad_to_byte_lanes(self, rng):
-        # 20- and 32-row blocks pad to the 32-row block height: 4 lanes
-        # per block, trailing word-line rows carry zero weights.
-        matrix, *_ = self._matrix(rng)
-        assert matrix.block_height == 32
-        assert matrix.groups_per_block == 4
-        bits = _bits(rng, 5, 52)
-        codes = matrix.pack(_planned(matrix, bits))
-        assert codes.shape == (5, 8)
-        ones = matrix.ones_per_block(codes)
-        np.testing.assert_array_equal(ones[:, 0], bits[:, :20].sum(axis=1))
-        np.testing.assert_array_equal(ones[:, 1], bits[:, 20:].sum(axis=1))
-
-    def test_pack_paths_agree(self, rng):
-        # Packing the planned block layout equals packing each block's
-        # slice of the input with np.packbits' own trailing zero padding.
-        matrix, *_ = self._matrix(rng)
-        bits = _bits(rng, 7, 52)
-        codes = matrix.pack(_planned(matrix, bits))
-        for k, (lo, hi) in enumerate([(0, 20), (20, 52)]):
-            lanes = codes[:, k * 4 : (k + 1) * 4]
-            sliced = np.packbits(bits[:, lo:hi], axis=1)
-            np.testing.assert_array_equal(lanes[:, : sliced.shape[1]], sliced)
-            assert not lanes[:, sliced.shape[1] :].any()
-
-    def test_scratch_plane_is_overwritten(self, rng):
-        # The planned rows live in per-thread scratch: the next gather on
-        # the same plan and thread reuses (and overwrites) the storage.
-        from repro.core.matrix_compute import Scratch
-        from repro.nn.layers import Dense
-
-        matrix, *_ = self._matrix(rng)
-        plan, scratch = matrix.plan(), Scratch()
-        layer = Dense(52, 6, rng=rng)
-        first = plan.gather(layer, _bits(rng, 4, 52), scratch)
-        stale = first.copy()
-        second = plan.gather(layer, 1 - _bits(rng, 4, 52), scratch)
-        assert not np.array_equal(stale, second)
-        assert np.shares_memory(first, second)
 
 
 class TestDecisionTables:
@@ -222,7 +35,6 @@ class TestDecisionTables:
             units[k] * ints[idx].astype(np.float64)
             for k, idx in enumerate(block_index)
         ]
-        matrix = PackedMatrix(mats, units, block_index, rows)
         decision = SplitDecision(
             block_threshold=0.11, ones_slope=0.003, vote_threshold=1
         )
@@ -232,13 +44,12 @@ class TestDecisionTables:
             [decision.thresholds_for(np.arange(25.0))] * 2, bias,
         ).tables
         bits = _bits(rng, 40, rows)
-        codes = matrix.pack(_planned(matrix, bits))
-        ones = matrix.ones_per_block(codes)
-        acc = matrix.accumulate(codes)
-        for k in range(2):
-            analog = units[k] * acc[k].astype(np.float64) + bias
-            expected = analog > decision.thresholds_for(ones[:, k])[:, None]
-            fired = acc[k] >= tables[k][ones[:, k]]
+        for k, idx in enumerate(block_index):
+            ones = bits[:, idx].sum(axis=1)
+            acc = bits[:, idx].astype(np.int64) @ ints[idx]
+            analog = units[k] * acc.astype(np.float64) + bias
+            expected = analog > decision.thresholds_for(ones)[:, None]
+            fired = acc >= tables[k][ones]
             np.testing.assert_array_equal(fired, expected)
 
 

@@ -1,4 +1,13 @@
-"""Tests for repro.zoo using a small dataset and temp cache."""
+"""Tests for repro.zoo using a small dataset and temp cache.
+
+network2 is trained and quantized once per module (``seeded``); each
+test gets a copy of that cache in its own ``tmp_path`` (``cache_dir``).
+Tests that assert a retrain (force-retrain, corrupt artefacts) still
+retrain from their copy; the atomic-save test and the deep network start
+from an empty cache.
+"""
+
+import shutil
 
 import numpy as np
 import pytest
@@ -25,6 +34,24 @@ def small_bundle():
     )
 
 
+@pytest.fixture(scope="module")
+def seeded(small_bundle, tmp_path_factory):
+    """network2 trained and quantized once: ``(cache root, network)``."""
+    root = tmp_path_factory.mktemp("zoo-seed")
+    network = get_trained_network(
+        "network2", dataset=small_bundle, cache_dir=root
+    )
+    get_quantized("network2", dataset=small_bundle, cache_dir=root)
+    return root, network
+
+
+@pytest.fixture
+def cache_dir(seeded, tmp_path):
+    """This test's copy of the seeded cache."""
+    shutil.copytree(seeded[0], tmp_path, dirs_exist_ok=True)
+    return tmp_path
+
+
 class TestRecipes:
     def test_all_networks_have_recipes(self):
         assert set(ZOO_RECIPES) == {"network1", "network2", "network3"}
@@ -37,41 +64,39 @@ class TestRecipes:
 
 
 class TestTrainedNetwork:
-    def test_trains_and_caches(self, small_bundle, tmp_path):
-        net = get_trained_network(
-            "network2", dataset=small_bundle, cache_dir=tmp_path
-        )
-        assert (tmp_path / "models" / "network2_trained.npz").exists()
-        # Second call loads from cache and matches exactly.
+    def test_trains_and_caches(self, small_bundle, seeded, cache_dir):
+        # ``seeded`` trained the network into its cache; a copy of that
+        # cache loads it back exactly.
+        _, net = seeded
+        assert (cache_dir / "models" / "network2_trained.npz").exists()
         again = get_trained_network(
-            "network2", dataset=small_bundle, cache_dir=tmp_path
+            "network2", dataset=small_bundle, cache_dir=cache_dir
         )
         x = small_bundle.test.images[:4]
         np.testing.assert_allclose(net.forward(x), again.forward(x))
 
-    def test_force_retrain_overwrites(self, small_bundle, tmp_path):
-        get_trained_network("network2", dataset=small_bundle, cache_dir=tmp_path)
+    def test_force_retrain_overwrites(self, small_bundle, cache_dir):
         net = get_trained_network(
             "network2",
             dataset=small_bundle,
-            cache_dir=tmp_path,
+            cache_dir=cache_dir,
             force_retrain=True,
         )
         assert net is not None
 
 
 class TestQuantized:
-    def test_quantize_and_cache_round_trip(self, small_bundle, tmp_path):
-        qm = get_quantized("network2", dataset=small_bundle, cache_dir=tmp_path)
+    def test_quantize_and_cache_round_trip(self, small_bundle, cache_dir):
+        qm = get_quantized("network2", dataset=small_bundle, cache_dir=cache_dir)
         assert set(qm.search.thresholds) == {0, 3}
         assert 0.0 <= qm.quantized_test_error <= 1.0
-        _, meta_path = quantized_cache_paths("network2", cache_dir=tmp_path)
+        _, meta_path = quantized_cache_paths("network2", cache_dir=cache_dir)
         assert meta_path.exists()
         assert qm.digest == recipe_digest("network2")
         assert qm.digest in meta_path.name
 
         cached = get_quantized(
-            "network2", dataset=small_bundle, cache_dir=tmp_path
+            "network2", dataset=small_bundle, cache_dir=cache_dir
         )
         assert cached.search.thresholds == qm.search.thresholds
         x = small_bundle.test.images[:4]
@@ -79,10 +104,10 @@ class TestQuantized:
             qm.search.network.forward(x), cached.search.network.forward(x)
         )
 
-    def test_binarized_network_usable_from_cache(self, small_bundle, tmp_path):
-        get_quantized("network2", dataset=small_bundle, cache_dir=tmp_path)
+    def test_binarized_network_usable_from_cache(self, small_bundle, cache_dir):
+        get_quantized("network2", dataset=small_bundle, cache_dir=cache_dir)
         cached = get_quantized(
-            "network2", dataset=small_bundle, cache_dir=tmp_path
+            "network2", dataset=small_bundle, cache_dir=cache_dir
         )
         bn = cached.search.binarized()
         err = bn.error_rate(small_bundle.test.images, small_bundle.test.labels)
@@ -91,32 +116,32 @@ class TestQuantized:
 
 class TestDigestCache:
     def test_different_search_configs_do_not_collide(
-        self, small_bundle, tmp_path
+        self, small_bundle, cache_dir
     ):
         from repro.core.threshold_search import SearchConfig
 
         coarse = SearchConfig(thres_max=0.1, search_step=0.02)
-        default_npz, _ = quantized_cache_paths("network2", cache_dir=tmp_path)
+        default_npz, _ = quantized_cache_paths("network2", cache_dir=cache_dir)
         coarse_npz, _ = quantized_cache_paths(
-            "network2", search_config=coarse, cache_dir=tmp_path
+            "network2", search_config=coarse, cache_dir=cache_dir
         )
         assert default_npz != coarse_npz
 
         qm_default = get_quantized(
-            "network2", dataset=small_bundle, cache_dir=tmp_path
+            "network2", dataset=small_bundle, cache_dir=cache_dir
         )
         qm_coarse = get_quantized(
             "network2",
             dataset=small_bundle,
             search_config=coarse,
-            cache_dir=tmp_path,
+            cache_dir=cache_dir,
         )
         assert qm_default.digest != qm_coarse.digest
         # Both artefacts coexist on disk: reloading the default config
         # must NOT hand back the coarse model (the pre-digest cache
         # keyed on the network name alone did exactly that).
         reloaded = get_quantized(
-            "network2", dataset=small_bundle, cache_dir=tmp_path
+            "network2", dataset=small_bundle, cache_dir=cache_dir
         )
         assert reloaded.search.thresholds == qm_default.search.thresholds
 
@@ -126,29 +151,29 @@ class TestDigestCache:
 
 
 class TestWarmRegistry:
-    def test_warm_model_returns_same_object(self, small_bundle, tmp_path):
+    def test_warm_model_returns_same_object(self, small_bundle, cache_dir):
         clear_warm_models()
         first = warm_model(
-            "network2", dataset=small_bundle, cache_dir=tmp_path
+            "network2", dataset=small_bundle, cache_dir=cache_dir
         )
         second = warm_model(
-            "network2", dataset=small_bundle, cache_dir=tmp_path
+            "network2", dataset=small_bundle, cache_dir=cache_dir
         )
         assert first is second
         clear_warm_models()
         third = warm_model(
-            "network2", dataset=small_bundle, cache_dir=tmp_path
+            "network2", dataset=small_bundle, cache_dir=cache_dir
         )
         assert third is not first
         assert third.search.thresholds == first.search.thresholds
 
-    def test_force_bypasses_registry(self, small_bundle, tmp_path):
+    def test_force_bypasses_registry(self, small_bundle, cache_dir):
         clear_warm_models()
         first = warm_model(
-            "network2", dataset=small_bundle, cache_dir=tmp_path
+            "network2", dataset=small_bundle, cache_dir=cache_dir
         )
         fresh = warm_model(
-            "network2", dataset=small_bundle, cache_dir=tmp_path, force=True
+            "network2", dataset=small_bundle, cache_dir=cache_dir, force=True
         )
         assert fresh is not first
 
@@ -178,16 +203,16 @@ class TestCorruptCache:
     ``zipfile.BadZipFile``)."""
 
     def test_corrupt_trained_npz_retrains(
-        self, small_bundle, tmp_path, caplog
+        self, small_bundle, cache_dir, caplog
     ):
         good = get_trained_network(
-            "network2", dataset=small_bundle, cache_dir=tmp_path
+            "network2", dataset=small_bundle, cache_dir=cache_dir
         )
-        npz = tmp_path / "models" / "network2_trained.npz"
+        npz = cache_dir / "models" / "network2_trained.npz"
         npz.write_bytes(b"this is not a zip archive")
         with caplog.at_level("WARNING", logger="repro.zoo"):
             net = get_trained_network(
-                "network2", dataset=small_bundle, cache_dir=tmp_path
+                "network2", dataset=small_bundle, cache_dir=cache_dir
             )
         assert any("corrupt model cache" in r.message for r in caplog.records)
         # Retrained from scratch with the same recipe -> same weights.
@@ -195,32 +220,32 @@ class TestCorruptCache:
         np.testing.assert_allclose(net.forward(x), good.forward(x))
         # And the corrupt artifact was replaced by a loadable one.
         again = get_trained_network(
-            "network2", dataset=small_bundle, cache_dir=tmp_path
+            "network2", dataset=small_bundle, cache_dir=cache_dir
         )
         np.testing.assert_allclose(again.forward(x), good.forward(x))
 
     def test_corrupt_quantized_meta_requantizes(
-        self, small_bundle, tmp_path, caplog
+        self, small_bundle, cache_dir, caplog
     ):
-        qm = get_quantized("network2", dataset=small_bundle, cache_dir=tmp_path)
-        _, meta = quantized_cache_paths("network2", cache_dir=tmp_path)
+        qm = get_quantized("network2", dataset=small_bundle, cache_dir=cache_dir)
+        _, meta = quantized_cache_paths("network2", cache_dir=cache_dir)
         meta.write_text("{ truncated")
         with caplog.at_level("WARNING", logger="repro.zoo"):
             redo = get_quantized(
-                "network2", dataset=small_bundle, cache_dir=tmp_path
+                "network2", dataset=small_bundle, cache_dir=cache_dir
             )
         assert any("corrupt model cache" in r.message for r in caplog.records)
         assert redo.search.thresholds == qm.search.thresholds
 
     def test_truncated_quantized_npz_requantizes(
-        self, small_bundle, tmp_path, caplog
+        self, small_bundle, cache_dir, caplog
     ):
-        qm = get_quantized("network2", dataset=small_bundle, cache_dir=tmp_path)
-        npz, _ = quantized_cache_paths("network2", cache_dir=tmp_path)
+        qm = get_quantized("network2", dataset=small_bundle, cache_dir=cache_dir)
+        npz, _ = quantized_cache_paths("network2", cache_dir=cache_dir)
         npz.write_bytes(npz.read_bytes()[:100])
         with caplog.at_level("WARNING", logger="repro.zoo"):
             redo = get_quantized(
-                "network2", dataset=small_bundle, cache_dir=tmp_path
+                "network2", dataset=small_bundle, cache_dir=cache_dir
             )
         assert any("corrupt model cache" in r.message for r in caplog.records)
         assert redo.search.thresholds == qm.search.thresholds

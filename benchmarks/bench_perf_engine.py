@@ -19,14 +19,13 @@ in ``BENCH_perf_engine.json`` at the repo root:
   slice/block loops into stacked matmuls; the reference engine keeps the
   per-slice loops.  The two engines are timed interleaved so slow
   machine drift cannot land on one side of the ratio.  Target: >= 3x.
-* **Packed inference throughput** — samples/s of network1 on the
-  ``packed`` engine under the paper's §5 fault regime (stuck-at cells,
-  no programming variation): both packed and fused run the certified
-  exact-integer float32 GEMM (:mod:`repro.core.integer_gemm`), packed
-  on uint8 planes end to end, fused on float32 rows with float64 0/1
-  planes between layers.  Logits are asserted ``allclose`` against both
-  the fused and reference engines before timing.  Targets: >= 7.0x vs
-  reference, >= 1.1x vs fused.
+* **Packed inference throughput** — samples/s of network1 through the
+  ``packed`` alias of the fused engine under the paper's §5 fault
+  regime (stuck-at cells, no programming variation), where every
+  thresholded layer runs the certified exact-integer float32 GEMM
+  (:mod:`repro.core.integer_gemm`) on uint8 planes.  Logits are
+  asserted ``allclose`` against the reference engine before timing.
+  Target: >= 7.0x vs reference.
 * **Activation-estimation (predict-and-skip) on the upper layers** —
   network1's split upper layer with
   :class:`repro.core.estimate.EstimatorPolicy` enabled in ``exact``
@@ -34,10 +33,10 @@ in ``BENCH_perf_engine.json`` at the repo root:
   kernel plus the per-block read accounting of the §4.3 vote settle —
   is timed against estimator-off; the skip itself is priced by an
   accounting pass that runs only while a recorder is on.  The skip and
-  energy figures come from traced packed-exact passes, whose exact
-  integer suffix bounds decide columns mid-block, so decided positions
-  stop driving the remaining rows of every block.  Both engines are
-  asserted bit-identical to estimator-off before timing.  Targets: >= 0.8x
+  energy figures come from traced exact passes, whose exact integer
+  suffix bounds decide columns mid-block, so decided positions stop
+  driving the remaining rows of every block.  Exact mode is asserted
+  bit-identical to estimator-off before timing.  Targets: >= 0.8x
   upper-layer wall-clock, >= 30% of row slots skipped, and a reduced
   SEI dynamic-energy estimate on the estimated layer (>= 50% saving).
 
@@ -78,20 +77,12 @@ from repro.zoo import get_dataset, get_quantized, get_trained_network
 #: than the batched scan), so the lock is 4.0 with the usual margin.
 ALGORITHM1_TARGET = 4.0
 SEI_INFERENCE_TARGET = 3.0
-#: The packed engine's targets on the stuck-at-fault workload.  The
+#: The packed alias's target on the stuck-at-fault workload.  The
 #: vs-reference ratio measured 9.7x-10.5x when it was locked at 9.5; on
 #: the current 2-vCPU host it measures 7.5x-8.0x, both before and after
 #: the fused row plan (neither engine in the ratio changed), so the
 #: floor is 7.0.
 PACKED_REFERENCE_TARGET = 7.0
-#: The vs-fused ratio divides by the fused engine's time, and the fused
-#: engine got faster twice.  First its split and DAC layers gathered
-#: their rows with one compiled row plan (2.4x to 1.2x-1.3x).  Then both
-#: engines moved onto the same certified integer float32 GEMM: fused
-#: alone fell to about 1.1x, and with packed's split and merge on the
-#: shared kernel the ratio measures 1.4x (1.8x at the parent commit on
-#: the same host).  The floor is 1.1.
-PACKED_FUSED_TARGET = 1.1
 #: Activation-estimation targets (upper split layer, natural partition).
 #: The speedup divides the estimator-off layer time by the fused exact
 #: layer time.  Exact mode runs the same certified off kernel, keeps
@@ -104,7 +95,7 @@ ESTIMATE_SKIP_TARGET = 0.30
 ESTIMATE_ENERGY_TARGET = 0.5
 
 BENCH_NETWORK = "network2"
-#: The packed-engine workload (Table 2's MNIST entry network).
+#: The packed-alias workload (Table 2's MNIST entry network).
 PACKED_NETWORK = "network1"
 #: The activation-estimation workload: network1's split upper layer is
 #: the one thresholded, non-DAC layer where the estimator engages.
@@ -233,7 +224,8 @@ def bench_sei_inference(dataset, quick: bool) -> dict:
 
 
 def bench_packed_inference(dataset, quick: bool) -> dict:
-    """Packed engine vs fused and reference, stuck-fault regime."""
+    """The packed alias of the fused engine vs reference, stuck-fault
+    regime."""
     samples = 128 if quick else 512
     repeats = 2 if quick else 6
     images = dataset.test.images[:samples]
@@ -259,22 +251,18 @@ def bench_packed_inference(dataset, quick: bool) -> dict:
         )
 
     packed_net = build("packed")
-    fused_net = build("fused")
     reference_net = build("reference")
     packed_logits = packed_net.predict(images)
-    fused_logits = fused_net.predict(images)
     reference_logits = reference_net.predict(images)
-    for name, other in (("fused", fused_logits), ("reference", reference_logits)):
-        if not np.allclose(packed_logits, other, rtol=1e-9, atol=1e-12):
-            raise AssertionError(
-                f"packed and {name} engines disagree (max |diff| "
-                f"{np.abs(packed_logits - other).max():.3e})"
-            )
+    if not np.allclose(packed_logits, reference_logits, rtol=1e-9, atol=1e-12):
+        raise AssertionError(
+            f"packed and reference engines disagree (max |diff| "
+            f"{np.abs(packed_logits - reference_logits).max():.3e})"
+        )
 
     timings = time_interleaved(
         {
             "packed": lambda: packed_net.predict(images),
-            "packed-fused": lambda: fused_net.predict(images),
             "packed-reference": lambda: reference_net.predict(images),
         },
         repeats=repeats,
@@ -282,13 +270,11 @@ def bench_packed_inference(dataset, quick: bool) -> dict:
         items=samples,
     )
     packed = timings["packed"]
-    fused = timings["packed-fused"]
     reference = timings["packed-reference"]
     vs_reference = speedup(reference, packed)
-    vs_fused = speedup(fused, packed)
 
-    # Traced pass after the timings: byte-lane/activity counters from the
-    # packed kernels feed the SEI power model.
+    # Traced pass after the timings: the integer kernels' activity
+    # counters feed the SEI power model.
     trace_batch = images[: min(32, samples)]
     with obs.recording() as rec:
         packed_net.predict(trace_batch)
@@ -307,10 +293,8 @@ def bench_packed_inference(dataset, quick: bool) -> dict:
         "stuck_low_rate": config.device.stuck_low_rate,
         "stuck_high_rate": config.device.stuck_high_rate,
         "packed_seconds": packed.seconds,
-        "fused_seconds": fused.seconds,
         "reference_seconds": reference.seconds,
         "packed_samples_per_second": packed.throughput,
-        "fused_samples_per_second": fused.throughput,
         "reference_samples_per_second": reference.throughput,
         "results_allclose": True,
         "prebinarized_layers": sorted(packed_net.prebinarized),
@@ -318,11 +302,6 @@ def bench_packed_inference(dataset, quick: bool) -> dict:
             "speedup": vs_reference,
             "target": PACKED_REFERENCE_TARGET,
             "target_met": vs_reference >= PACKED_REFERENCE_TARGET,
-        },
-        "vs_fused": {
-            "speedup": vs_fused,
-            "target": PACKED_FUSED_TARGET,
-            "target_met": vs_fused >= PACKED_FUSED_TARGET,
         },
         "traced_activity": activity,
     }
@@ -335,9 +314,9 @@ def bench_estimate(dataset, quick: bool) -> dict:
     read accounting of the §4.3 vote settle) against estimator-off on
     the upper layer alone (the lower conv layer is DAC-coded and not
     estimable, so whole-network wall-clock would only dilute the ratio),
-    then runs traced packed-exact passes, whose accounting pass prices
-    the exact integer bounds, to lock the skipped row-slot fraction and
-    the SEI dynamic-energy saving.
+    then runs traced exact passes, whose accounting pass prices the
+    exact integer bounds, to lock the skipped row-slot fraction and the
+    SEI dynamic-energy saving.
     """
     samples = 64 if quick else 256
     repeats = 2 if quick else 6
@@ -345,33 +324,23 @@ def bench_estimate(dataset, quick: bool) -> dict:
     qm = get_quantized(ESTIMATE_NETWORK, dataset=dataset)
     # Noise-free natural partition: the regime where ``exact`` mode is
     # provably bit-identical, and where every crossbar sits on the
-    # integer grid, so every packed layer runs its integer kernel.
+    # integer grid, so every thresholded layer runs its integer kernel.
     config = HardwareConfig(
         device=RRAMDevice(bits=4, program_sigma=0.0, read_sigma=0.0),
         partition_method="natural",
     )
 
-    def build(engine: str, policy: EstimatorPolicy):
+    def build(policy: EstimatorPolicy):
         return compile_network(
             qm.search.network,
             qm.search.thresholds,
-            EngineSpec(name=engine, hardware=config, estimator=policy),
+            EngineSpec(hardware=config, estimator=policy),
         )
 
-    off, exact = EstimatorPolicy(mode="off"), EstimatorPolicy(mode="exact")
-    off_net = build("fused", off)
-    skip_net = build("fused", exact)
-    packed_off_net = build("packed", off)
-    packed_net = build("packed", exact)
-
-    for name, reference, net in (
-        ("fused", off_net, skip_net),
-        ("packed", packed_off_net, packed_net),
-    ):
-        if not np.array_equal(reference.predict(images), net.predict(images)):
-            raise AssertionError(
-                f"{name} estimator and estimator-off logits differ"
-            )
+    off_net = build(EstimatorPolicy(mode="off"))
+    skip_net = build(EstimatorPolicy(mode="exact"))
+    if not np.array_equal(off_net.predict(images), skip_net.predict(images)):
+        raise AssertionError("estimator and estimator-off logits differ")
 
     bits = off_net.collect_binary_activations(images)[ESTIMATE_LAYER]
     timings = time_interleaved(
@@ -387,8 +356,8 @@ def bench_estimate(dataset, quick: bool) -> dict:
     skip_timing = timings["estimate-skip"]
     ratio = speedup(off_timing, skip_timing)
 
-    # Traced passes after the timings on the packed engine: estimator-off
-    # sets the dynamic energy baseline, the accounting pass provides the
+    # Traced passes after the timings: estimator-off sets the dynamic
+    # energy baseline, the accounting pass provides the
     # skip counters (its exact integer bounds decide columns mid-block,
     # so decided positions stop driving the remaining rows of every
     # block, not just whole later blocks).
@@ -400,8 +369,8 @@ def bench_estimate(dataset, quick: bool) -> dict:
         exported = rec.metrics.as_dict()
         return exported, obs.power.estimate_from_metrics(rec.metrics)
 
-    _, off_power = trace(packed_off_net)
-    est_metrics, est_power = trace(packed_net)
+    _, off_power = trace(off_net)
+    est_metrics, est_power = trace(skip_net)
     layer_key = str(ESTIMATE_LAYER)
     prefix = f"hw/layer{ESTIMATE_LAYER}/"
     positions = float(est_metrics["counters"][prefix + "positions"])
@@ -432,7 +401,7 @@ def bench_estimate(dataset, quick: bool) -> dict:
         },
         "skip_counters": {
             "trace_samples": int(len(trace_batch)),
-            "policy": {"engine": "packed", "mode": "exact"},
+            "policy": {"engine": "fused", "mode": "exact"},
             "row_slots": int(positions * rows),
             "skipped_slots": int(skipped_slots),
             "skip_fraction": skip_fraction,
@@ -489,14 +458,11 @@ def main(argv=None) -> int:
     packed = bench_packed_inference(dataset, args.quick)
     print(
         f"  reference {packed['reference_samples_per_second']:.1f} samples/s  "
-        f"fused {packed['fused_samples_per_second']:.1f} samples/s  "
         f"packed {packed['packed_samples_per_second']:.1f} samples/s"
     )
     print(
         f"  speedup {packed['vs_reference']['speedup']:.1f}x vs reference "
-        f"(target >={packed['vs_reference']['target']:.1f}x), "
-        f"{packed['vs_fused']['speedup']:.1f}x vs fused "
-        f"(target >={packed['vs_fused']['target']:.1f}x)"
+        f"(target >={packed['vs_reference']['target']:.1f}x)"
     )
 
     print(f"== Activation estimation ({ESTIMATE_NETWORK} layer {ESTIMATE_LAYER}) ==")
@@ -533,7 +499,6 @@ def main(argv=None) -> int:
         algorithm1["target_met"]
         and sei["target_met"]
         and packed["vs_reference"]["target_met"]
-        and packed["vs_fused"]["target_met"]
         and estimate["upper_layer"]["target_met"]
         and estimate["skip_counters"]["target_met"]
         and estimate["energy"]["target_met"]

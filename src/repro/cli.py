@@ -220,16 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="runtime activation estimator: count the MVM row work "
             "the hardware skips once column outputs are decided ('exact' "
             "is bit-identical, "
-            "'threshold' trades accuracy via --confidence and needs "
-            "--engine packed)",
+            "'threshold' trades accuracy via --confidence)",
         )
         p.add_argument(
             "--confidence",
             type=float,
             default=1.0,
             help="threshold-estimator confidence knob in (0, 1] "
-            "(packed engine only); 1.0 keeps the full bound, smaller "
-            "skips more aggressively",
+            "(fused engine and its packed alias); 1.0 keeps the full "
+            "bound, smaller skips more aggressively",
         )
 
     infer = sub.add_parser(
@@ -445,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--estimator",
         choices=("off", "exact"),
         default="off",
-        help="with 'exact': also assert the fused/packed engines with "
+        help="with 'exact': also assert the fused engine (and its packed "
+        "alias) with "
         "the runtime activation estimator stay bit-identical to their "
         "estimator-off selves on the golden corpus",
     )

@@ -67,8 +67,9 @@ class EngineSpec:
         stacked-matmul SEI arithmetic), ``'reference'`` (the retained
         pre-fusion per-slice loops, the equivalence oracle), ``'adc'``
         (the traditional DAC+crossbar+ADC functional model, the Table 5
-        baseline) or ``'packed'`` (the fused engine's exact integer
-        kernels on uint8 planes; see :mod:`repro.core.packed`).
+        baseline) or ``'packed'`` (an alias of ``'fused'``: the same
+        builder, kept so existing specs, digests and golden entries
+        still resolve).
     hardware:
         Device / fabric parameters (cell precision, noise sigmas, IR
         drop, crossbar size, partitioning).  The noise options that used
@@ -80,12 +81,11 @@ class EngineSpec:
     estimator:
         Runtime output-activity estimation policy
         (:class:`repro.core.estimate.EstimatorPolicy`).  ``off`` by
-        default; ``exact`` lets the fused / packed engines skip row work
-        once every output bit is provably decided (bit-identical to
-        ``off``); ``threshold`` trades bounded output disagreement for
-        earlier skipping (CompRRAE-style, ``packed`` only).  Rejected by
-        the ``adc`` and ``reference`` engines, which stay estimator-free
-        baselines.
+        default; ``exact`` lets the fused engine skip row work once
+        every output bit is provably decided (bit-identical to ``off``);
+        ``threshold`` trades bounded output disagreement for earlier
+        skipping (CompRRAE-style).  Rejected by the ``adc`` and
+        ``reference`` engines, which stay estimator-free baselines.
     """
 
     name: str = "fused"
@@ -298,7 +298,7 @@ def _build_adc(
     if spec.estimator.enabled:
         raise ConfigurationError(
             "the 'adc' engine digitises full column sums and supports no "
-            "runtime activation estimator; use the fused or packed engine"
+            "runtime activation estimator; use the fused engine"
         )
     hardware = spec.hardware
     if hardware.temporal is not None and hardware.temporal.enabled:
@@ -321,12 +321,8 @@ def _build_adc(
 
 
 register_engine("fused", _build_sei)
+# "packed" is an alias of the fused engine, whose integral layers run the
+# integer kernels on uint8 planes; specs that name it keep their digests.
+register_engine("packed", _build_sei)
 register_engine("reference", _build_sei, oracle=True)
 register_engine("adc", _build_adc)
-
-# The packed engine lives in its own module and imports this
-# registry lazily, so registering it here closes the loop without a
-# circular import at module load.
-from repro.core.packed import _build_packed  # noqa: E402
-
-register_engine("packed", _build_packed)

@@ -9,7 +9,7 @@ cuts RRAM CNN computation by estimating output activity at runtime and
 stopping early.  The simulator does not have to execute that skipping
 to price it: this module holds the policy, the bound tables and one
 accounting pass (:class:`SkipPass`) that counts what the hardware would
-skip, shared by the fused and packed engines.
+skip, run by the fused engine's certified integer kernels.
 
 An estimated layer runs its certified integer kernel
 (:mod:`repro.core.integer_gemm`) and, next to it, the pass on the same
@@ -32,9 +32,9 @@ blocks.  An unsplit layer is the one-block case.
   block-level vote settle on every call (:func:`vote_reads`); the
   skip counters and the sense-amp events are a callable the recorder
   evaluates, so the pass runs only while a recorder is on.
-* ``mode='threshold'`` (packed engine only): the bound tables are
-  scaled by a ``confidence`` knob in ``(0, 1]``, trading bounded,
-  statistically monotone output disagreement for earlier decisions.
+* ``mode='threshold'``: the bound tables are scaled by a
+  ``confidence`` knob in ``(0, 1]``, trading bounded, statistically
+  monotone output disagreement for earlier decisions.
   The pass runs on every call and supplies the outputs: the decision
   at the first settled boundary, else the certified decision on the
   complete accumulator.
@@ -84,7 +84,7 @@ class EstimatorPolicy:
         ``'off'`` (default; engines run their unmodified paths),
         ``'exact'`` (provable early decisions: emitted bits are
         bit-identical to ``'off'``) or ``'threshold'`` (CompRRAE-style
-        probabilistic early decision; packed engine only).
+        probabilistic early decision on the fused engine).
     confidence:
         Bound scaling for ``'threshold'`` mode, in ``(0, 1]``.  1.0
         keeps the full interval (no margin, so near-threshold positions
@@ -160,7 +160,7 @@ def _suffix_bound_table(parts: np.ndarray, cap: int) -> np.ndarray:
     magnitude entries per column — the extreme possible contribution of
     exactly ``k`` active remaining rows; rows beyond the table depth
     hold the full column sum, a sound (unconditioned) bound for any
-    larger count.  Dtype follows ``parts`` (int64 for the packed engine).
+    larger count.  Dtype follows ``parts`` (int64 for the integer kernels).
     """
     cols = parts.shape[1]
     table = np.zeros((cap + 1, cols), dtype=parts.dtype)
@@ -248,7 +248,7 @@ _PASS_BYTES = 4 << 20
 
 
 class SkipPass:
-    """The skip accounting of one estimated layer (both SEI engines).
+    """The skip accounting of one estimated layer.
 
     Called with a certified :class:`repro.core.integer_gemm.IntegerLayer`
     and the planned ``(n, K, H)`` 0/1 rows, it returns the fired-block

@@ -47,7 +47,6 @@ from repro.core.estimate import EstimatorPolicy, SkipPass
 from repro.core.homogenize import Partition, homogenize, natural_partition
 from repro.core.integer_gemm import (
     Certified,
-    byte_lanes,
     certify,
     firing_kernel,
     integer_layer,
@@ -315,10 +314,11 @@ def assemble_sei_network(
     must be left unset — the hardware options live on the spec), or
     ``None`` for the default fused spec built from ``config``:
     ``'fused'`` collapses the bit-sliced crossbars of each layer into
-    stacked matmuls; ``'reference'`` keeps the pre-fusion per-slice /
-    per-block loops — numerically equivalent (identical noise streams,
-    partial sums re-associated), retained as the equivalence oracle and
-    perf-benchmark baseline.
+    stacked matmuls and runs integral layers on the certified integer
+    GEMM (``'packed'`` is an alias of it); ``'reference'`` keeps the
+    pre-fusion per-slice / per-block loops — numerically equivalent
+    (identical noise streams, partial sums re-associated), retained as
+    the equivalence oracle and perf-benchmark baseline.
     """
     # Local import: repro.core.engines registers its builders on top of
     # this module, so the dependency cannot also point the other way at
@@ -328,22 +328,15 @@ def assemble_sei_network(
     spec = resolve_engine(
         engine,
         hardware=config,
-        allowed=("fused", "reference"),
+        allowed=("fused", "packed", "reference"),
         caller="assemble_sei_network",
     )
     config = spec.hardware
-    estimator = spec.estimator
-    if estimator.enabled:
+    if spec.estimator.enabled:
         if spec.name == "reference":
             raise ConfigurationError(
                 "the 'reference' engine is the equivalence oracle and "
-                "runs estimator-free; use the fused or packed engine"
-            )
-        if not estimator.exact:
-            raise ConfigurationError(
-                "the fused engine prices the exact estimator's skips and "
-                "never trades outputs for them; threshold mode runs on "
-                "the packed engine"
+                "runs estimator-free; use the fused engine"
             )
         if config.temporal is not None and config.temporal.enabled:
             raise ConfigurationError(
@@ -368,8 +361,18 @@ def assemble_sei_network(
         for index, layer in enumerate(network.layers):
             if isinstance(layer, MaxPool2D):
                 binarized.layer_computes[index] = _reference_pool_compute()
-    else:
-        skip_binary_relus(binarized)
+        return binarized
+    skip_binary_relus(binarized)
+    # Pooling on 0/1 maps is the §3.1 logical OR: run it on uint8.  A pool
+    # whose most recent weighted layer upstream is thresholded sees only
+    # exact 0/1 planes (ReLU, pool and flatten preserve them); the others
+    # keep the float pooling.
+    binary = False
+    for index, layer in enumerate(network.layers):
+        if isinstance(layer, MaxPool2D) and binary:
+            binarized.layer_computes[index] = _or_pool_compute
+        elif isinstance(layer, (Conv2D, Dense)):
+            binary = index in thresholds
     return binarized
 
 
@@ -541,6 +544,15 @@ def _reference_pool_compute():
     return compute
 
 
+def _or_pool_compute(layer: Layer, x: np.ndarray) -> np.ndarray:
+    """OR-pooling of a 0/1 plane on uint8 (the window maximum of 0/1
+    data is their logical OR): 8x less data through the cache than the
+    float64 pool, and every SEI consumer accepts a uint8 plane."""
+    return F.maxpool2d_forward(
+        x.astype(np.uint8, copy=False), layer.pool, layer.stride
+    )
+
+
 def _identity_compute():
     def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
         return x
@@ -548,7 +560,7 @@ def _identity_compute():
     return compute
 
 
-# -- certified integer kernels, shared by the fused and packed engines ----------
+# -- the fused engine: collapsed crossbars, certified integer GEMM ---------------
 
 
 def grid_unit(xbar: SEIMatrix) -> float:
@@ -562,17 +574,15 @@ def _active_rows(rows: np.ndarray):
     return lambda: rows.reshape(n, -1).sum(axis=1, dtype=np.int64)
 
 
-def certified_dac(record: dict, plane: bool = False) -> Optional[LayerKernel]:
+def certified_dac(record: dict) -> Optional[LayerKernel]:
     """The DAC input layer (§3.2) on integer codes, or None.
 
     The feature map quantizes to integer DAC codes ``k`` (levels
     ``k/steps``), which stay uint8 through the unfold; the GEMM against
     the merged matrix's integers ``N`` (``merged = unit·N``) runs in
     float32 over cache-sized chunks, and the layer's 1-bit quantization
-    (Equ. 4) is decided against the certified table.  Without ``plane``
-    the kernel returns the fired bits with ``vote=1``, so the compute
-    writes the float64 plane of the outer binarize; with it (the packed
-    engine) the uint8 plane is the layer's output.
+    (Equ. 4) is decided against the certified table.  The fired bits
+    are the layer's uint8 0/1 plane.
     """
     xbar = record["crossbar"]
     if record["threshold"] is None:
@@ -610,7 +620,6 @@ def certified_dac(record: dict, plane: bool = False) -> Optional[LayerKernel]:
         prepare,
         xbar.meter(),
         arrays=(xbar.array,),
-        vote=None if plane else 1,
         prebinarized=True,
         scratch=scratch,
     )
@@ -624,17 +633,14 @@ def _skip_pass(estimator: Optional[EstimatorPolicy], vote: int = 1):
 
 
 def certified_unsplit(
-    record: dict, plane: bool = False, dtype=np.float32, lanes: bool = False,
-    estimator: Optional[EstimatorPolicy] = None,
+    record: dict, estimator: Optional[EstimatorPolicy] = None
 ) -> Optional[LayerKernel]:
     """A thresholded unsplit SEI layer on the integer GEMM, or None.
 
-    ``dtype`` is the row plan's (float32 rows feed the GEMM in place,
-    uint8 rows are widened chunkwise); ``plane`` and the ``vote=1``
-    emission are as in :func:`certified_dac`; ``lanes`` records the
-    byte lanes as ``popcount_events`` (the packed engine's count).  An
-    enabled ``estimator`` adds the skip accounting pass
-    (:class:`repro.core.estimate.SkipPass`, one block).
+    The uint8 planned rows are widened chunkwise for the GEMM and the
+    fired bits are the layer's uint8 0/1 plane, as in
+    :func:`certified_dac`.  An enabled ``estimator`` adds the skip
+    accounting pass (:class:`repro.core.estimate.SkipPass`, one block).
     """
     xbar = record["crossbar"]
     if record["threshold"] is None:
@@ -660,14 +666,12 @@ def certified_unsplit(
     return LayerKernel(
         firing_kernel(
             certified, fallback, scratch, _active_rows,
-            lanes=byte_lanes(rows) if lanes else 0,
             skip=_skip_pass(estimator),
         ),
-        RowPlan(dtype=dtype),
+        RowPlan(dtype=np.uint8),
         binary_inputs("SEI inputs"),
         layer_meter([xbar], rows),
         arrays=(xbar.array,),
-        vote=None if plane else 1,
         prebinarized=True,
         scratch=scratch,
     )
@@ -694,14 +698,14 @@ def certify_split(split: HardwareSplitMatrix) -> Optional[Certified]:
 
 
 def split_layer_kernel(
-    record: dict, run, plan: RowPlan, plane: bool = False, scratch=None
+    record: dict, run, plan: RowPlan, scratch: Scratch,
+    vote: Optional[int] = None,
 ) -> LayerKernel:
     """A hidden split layer's :class:`LayerKernel` around ``run``.
 
-    Without ``plane``, ``run`` returns fired-block counts and the
-    compute's vote writes the float64 plane; with it, ``run`` returns
-    the uint8 vote plane.  A threshold in ``[0, 1)`` folds
-    (``prebinarized``).
+    ``run`` returns the layer's 0/1 vote plane, or with a ``vote`` the
+    fired-block counts the compute's vote turns into the float64 plane.
+    A threshold in ``[0, 1)`` folds (``prebinarized``).
     """
     split = record["matrix"]
     return LayerKernel(
@@ -712,20 +716,20 @@ def split_layer_kernel(
             split._block_crossbars, split.weights.shape[0], split.num_blocks
         ),
         arrays=split.block_arrays,
-        vote=None if plane else split.decision.vote_threshold,
+        vote=vote,
         prebinarized=folds_threshold(record["threshold"]),
-        scratch=scratch if scratch is not None else Scratch(),
+        scratch=scratch,
     )
 
 
 def certified_split(
-    record: dict, plane: bool = False, dtype=np.float32, lanes: bool = False,
-    estimator: Optional[EstimatorPolicy] = None,
+    record: dict, estimator: Optional[EstimatorPolicy] = None
 ) -> Optional[LayerKernel]:
     """A hidden split layer (§4.3 block vote) on the integer GEMM, or None.
 
-    The K block GEMMs of each chunk decide against the per-(block,
-    active rows) certified tables and count the fired blocks.  An
+    The K block GEMMs of each chunk (uint8 planned rows, widened
+    chunkwise) decide against the per-(block, active rows) certified
+    tables, count the fired blocks and emit the uint8 vote plane.  An
     enabled ``estimator`` adds the skip accounting pass, with the reads
     of each block settled by the vote.
     """
@@ -741,17 +745,12 @@ def certified_split(
         lambda rows: float_vote(rows.astype(np.float64))[0],
         scratch,
         _active_rows,
-        vote=vote if plane else None,
-        lanes=split.num_blocks * byte_lanes(split._gather.shape[1])
-        if lanes else 0,
+        vote=vote,
         skip=_skip_pass(estimator, vote),
     )
     return split_layer_kernel(
-        record, run, RowPlan(split._gather, dtype), plane, scratch
+        record, run, RowPlan(split._gather, np.uint8), scratch
     )
-
-
-# -- the fused engine: collapsed crossbars, certified integer GEMM ---------------
 
 
 def lower_fused(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
@@ -778,20 +777,29 @@ def _fused_unsplit(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
     certified = certified_unsplit(record, estimator=estimator)
     if certified is not None:
         return certified
-    return sei_kernel(record["crossbar"], layer_bias(record["layer"]))
+    xbar = record["crossbar"]
+    if record["threshold"] is None:
+        # The final classifier on one crossbar: the one-block merge, whose
+        # column-major operand keeps a sample's logits independent of its
+        # row in the tile (a row-major dgemm rounds some rows apart).
+        return _merge_kernel(
+            [xbar], [np.arange(xbar.logical_rows)], record["layer"]
+        )
+    return sei_kernel(xbar, layer_bias(record["layer"]))
 
 
 def _fused_split(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
     """A hidden split layer (§4.3 block vote) on the compiled row plan.
 
     On certified blocks this is :func:`certified_split` (with the skip
-    accounting pass under an enabled ``estimator``); otherwise the plan
-    gathers the padded ``(n·P, K, H)`` float64 layout, the K block
-    dgemms write into per-thread scratch, and the kernel returns the
-    fired-block counts (:func:`repro.core.splitting.vote_kernel`, the
-    kernel of the software split hooks too).  Either way the compute's
-    vote writes them as a fresh float64 0/1 plane in the layer's output
-    layout — the data the outer binarize would write, so a threshold in
+    accounting pass under an enabled ``estimator``), emitting the uint8
+    vote plane.  Otherwise the plan gathers the padded ``(n·P, K, H)``
+    float64 layout, the K block dgemms write into per-thread scratch,
+    and the kernel returns the fired-block counts
+    (:func:`repro.core.splitting.vote_kernel`, the kernel of the
+    software split hooks too), which the compute's vote writes as a
+    fresh float64 0/1 plane in the layer's output layout.  Either plane
+    is the data the outer binarize would write, so a threshold in
     ``[0, 1)`` folds (``prebinarized``).
     """
     kernel = certified_split(record, estimator=estimator)
@@ -800,15 +808,25 @@ def _fused_split(record: dict, estimator: EstimatorPolicy) -> LayerKernel:
     split = record["matrix"]
     scratch = Scratch()
     return split_layer_kernel(
-        record, vote_kernel(split, scratch), RowPlan(split._gather),
-        scratch=scratch,
+        record, vote_kernel(split, scratch), RowPlan(split._gather), scratch,
+        vote=split.decision.vote_threshold,
     )
 
 
 def _fused_analog_merge(
     record: dict, estimator: EstimatorPolicy
 ) -> LayerKernel:
-    crossbars = record["crossbars"]
+    return _merge_kernel(
+        record["crossbars"], record["partition"].blocks(), record["layer"]
+    )
+
+
+def _merge_kernel(crossbars, blocks, layer: Layer) -> LayerKernel:
+    """Block currents summed in analog before one shared SA bank.
+
+    The final classifier's analog merge; an unsplit layer without a
+    threshold is its one-block case.
+    """
     cols = crossbars[0].cols
     # The merge is a straight current sum over blocks, so the K crossbars
     # concatenate into ONE matrix indexed by the permuted input order: a
@@ -817,9 +835,7 @@ def _fused_analog_merge(
     # static arrays); noisy reads rebuild the stack each call from one
     # vectorized read per crossbar (stream-identical to the per-slice
     # reference loop).
-    perm = np.concatenate(
-        [np.asarray(b, dtype=np.intp) for b in record["partition"].blocks()]
-    )
+    perm = np.concatenate([np.asarray(b, dtype=np.intp) for b in blocks])
     fused = all(xbar.fused_matrix is not None for xbar in crossbars)
     static_cache: list = [None]
 
@@ -862,7 +878,7 @@ def _fused_analog_merge(
             crossbars, len(perm), len(crossbars), digital_merge=False
         ),
         arrays=[xbar.array for xbar in crossbars],
-        bias=layer_bias(record["layer"]),
+        bias=layer_bias(layer),
     )
 
 

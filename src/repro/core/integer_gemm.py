@@ -23,11 +23,11 @@ the rounding of ``q`` itself) of the boundary ``q = (T − b)/s``; then
 accumulator bound of 2**24 or more, or cells off the integer grid is
 not integral here and keeps its float64 kernel.
 
-The fused and packed engines share these operands, tables and kernels
-(:func:`firing_kernel`, :func:`accumulate`), and the runtime estimator's
-accounting pass (:class:`repro.core.estimate.SkipPass`) runs on the same
-operands; the per-layer builders are in
-:mod:`repro.core.hardware_network`.
+The fused engine runs these operands, tables and kernels
+(:func:`firing_kernel`, :func:`accumulate`) on uint8 row and output
+planes, and the runtime estimator's accounting pass
+(:class:`repro.core.estimate.SkipPass`) runs on the same operands; the
+per-layer builders are in :mod:`repro.core.hardware_network`.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "IntegerLayer",
     "Certified",
     "certify",
-    "byte_lanes",
     "integer_matrix",
     "integer_layer",
     "accumulate",
@@ -240,12 +239,6 @@ def certify(arrays, build) -> Optional[Certified]:
     return None if certified.get() is None else certified
 
 
-def byte_lanes(rows: int) -> int:
-    """Byte lanes of ``rows`` selection bits (the packed engine's
-    ``popcount_events`` per position and block)."""
-    return -(-rows // 8)
-
-
 def accumulate(
     rows: np.ndarray,
     weights: np.ndarray,
@@ -285,7 +278,6 @@ def firing_kernel(
     scratch: Scratch,
     active: Callable[[np.ndarray], object],
     vote: Optional[int] = None,
-    lanes: int = 0,
     skip=None,
 ):
     """A thresholded layer's kernel on certified integer operands.
@@ -293,10 +285,10 @@ def firing_kernel(
     ``run`` maps planned ``(n, K, H)`` (or ``(n, rows)`` for one block)
     rows to fresh uint8 ``(n, cols)`` fired-block counts — with a
     ``vote``, to the 0/1 plane ``counts >= vote`` — and a
-    :class:`Tally` whose active counts come from ``active(rows)`` and
-    whose ``popcount_events`` are ``n · lanes``.  If the layer's arrays
-    were re-programmed and no longer certify, ``fallback(rows)`` gives
-    the float64 kernel's counts instead.
+    :class:`Tally` whose active counts come from ``active(rows)``.  One
+    block's counts are its 0/1 plane.  If the layer's arrays were
+    re-programmed and no longer certify, ``fallback(rows)`` gives the
+    float64 kernel's counts instead.
 
     ``skip`` is the estimated layer's
     :class:`repro.core.estimate.SkipPass`.  In exact mode the kernel
@@ -328,10 +320,7 @@ def firing_kernel(
                     account = lambda: skip(layer, planned)[1:3]  # noqa: E731
         if vote is not None:
             np.greater_equal(counts, vote, out=counts)
-        return counts, Tally(
-            active(rows), popcount_events=n * lanes, skip=account,
-            reads=reads,
-        )
+        return counts, Tally(active(rows), skip=account, reads=reads)
 
     return run
 

@@ -135,8 +135,9 @@ class RowPlan:
     ``(positions, K, H)`` layout — ``split._gathered(F.im2col(x))`` — in
     one ``np.take``.  Without ``groups`` the layout is the plain
     ``(positions, rows)`` im2col matrix (for a Dense layer, the input
-    itself).  The gathered rows have the plan's ``dtype`` (float64 for
-    the float kernels, uint8 bit or code planes for the packed ones).
+    itself).  The gathered rows have the plan's ``dtype``: float64 for
+    the float kernels (a uint8 0/1 input plane widens exactly), uint8
+    bit or code planes for the certified integer kernels.
     """
 
     def __init__(
@@ -233,7 +234,6 @@ class Tally(NamedTuple):
 
     active: Any
     sa_events: Optional[int] = None
-    popcount_events: int = 0
     skip: Any = None
     reads: Optional[Sequence[int]] = None
 
@@ -303,7 +303,6 @@ def layer_compute(index: Optional[int], kernel: LayerKernel):
             index,
             tally.active,
             sa_events=tally.sa_events,
-            popcount_events=tally.popcount_events,
             skip=tally.skip,
             **kernel.meter,
         )

@@ -22,7 +22,8 @@ the ``fail`` / ``sleep_ms`` / ``crash`` hooks) in milliseconds.
 Candidate configuration keys understood by the hardware evaluator:
 
 =================  ==========================================================
-``engine``         ``fused`` | ``reference`` | ``adc`` (default ``fused``)
+``engine``         ``fused`` (alias ``packed``) | ``reference`` | ``adc``
+                   (default ``fused``)
 ``crossbar``       max crossbar dimension (fabric + cost model)
 ``cell_bits``      RRAM device precision (device + cost model)
 ``weight_bits``    weight precision (default 8)
@@ -30,7 +31,7 @@ Candidate configuration keys understood by the hardware evaluator:
 ``program_sigma``  programming-variation sigma
 ``data_bits``      intermediate-data DAC precision (``adc`` engine)
 ``estimator``      runtime activation estimator mode: ``off`` | ``exact``
-                   | ``threshold`` (fused/packed engines)
+                   | ``threshold`` (fused engine)
 ``confidence``     threshold-estimator confidence knob in (0, 1]
 ``hardware_seed``  programming-draw seed (default: the study seed)
 ``network``        zoo network override (default: the study network)

@@ -215,23 +215,21 @@ def _device_aging() -> Study:
 def _activation_skip() -> Study:
     """The runtime activation estimator as an energy x accuracy x latency axis.
 
-    Sweeps :class:`repro.core.estimate.EstimatorPolicy` over both SEI
-    compute engines on network1 (the Table 1 network whose upper layers
-    are sparsest, hence most skippable): ``off`` is the baseline,
-    ``exact`` must keep accuracy bit-for-bit while cutting
-    ``sei_dynamic_pj``, and ``threshold`` (packed only, hence the space
-    constraint) trades accuracy for deeper skipping through the
+    Sweeps :class:`repro.core.estimate.EstimatorPolicy` on the fused
+    engine over network1 (the Table 1 network whose upper layers are
+    sparsest, hence most skippable): ``off`` is the baseline, ``exact``
+    must keep accuracy bit-for-bit while cutting ``sei_dynamic_pj``, and
+    ``threshold`` trades accuracy for deeper skipping through the
     confidence knob.  ``eval_wall_s`` joins the objectives because the
     estimator's bound bookkeeping costs real time — the Pareto front
     shows where prediction pays for itself.
 
     The baseline predicate names ``confidence`` so pairing ignores it:
-    every threshold variant compares against its engine's estimator-off
-    row, not a same-confidence phantom.
+    every threshold variant compares against the estimator-off row, not
+    a same-confidence phantom.
     """
     space = ParameterSpace(
         axes=(
-            GridAxis("engine", ("fused", "packed")),
             GridAxis("estimator", ("off", "exact", "threshold")),
             GridAxis(
                 "confidence",
@@ -240,7 +238,6 @@ def _activation_skip() -> Study:
                 default=1.0,
             ),
         ),
-        constraints=("estimator != 'threshold' or engine == 'packed'",),
     )
     return Study(
         name="activation_skip",

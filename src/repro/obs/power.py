@@ -24,7 +24,6 @@ Metric convention (written by :func:`record_mvm_batch`, read by
 ``est_decided``           of those, decided early (skippable work left)
 ``sa_events``             sense-amplifier (threshold) decisions
 ``noise_draws``           per-cell conductance noise samples drawn
-``popcount_events``       byte lanes of selection bits (packed engine only)
 ``rows`` (gauge)          logical rows of the layer's weight matrix
 ``cols`` (gauge)          output columns
 ``blocks`` (gauge)        split blocks (1 = unsplit)
@@ -128,7 +127,6 @@ def record_mvm_batch(
     sa_events: Optional[int] = None,
     noise_draws: int = 0,
     digital_merge: Optional[bool] = None,
-    popcount_events: int = 0,
     skipped_rows: int = 0,
     skipped_slots: int = 0,
     est_positions: int = 0,
@@ -141,13 +139,10 @@ def record_mvm_batch(
     per block per sample (pass it explicitly for analog-merged layers,
     where the blocks share one sense-amp bank).
 
-    Engines that never materialise a float bit matrix (the packed
-    engine) pass ``bits=None`` with ``active_counts`` (the
-    per-position active-row totals, already reduced) and ``rows``
-    (the logical row count) instead — the derived metrics are identical.
-    ``popcount_events`` counts the byte lanes of selection bits a
-    packed call covers (``n · K · ceil(H/8)``), the packed engine's
-    analogue of the per-row activity reductions.
+    Engines that never materialise a float bit matrix pass
+    ``bits=None`` with ``active_counts`` (the per-position active-row
+    totals, already reduced) and ``rows`` (the logical row count)
+    instead — the derived metrics are identical.
     """
     if active_counts is not None:
         if rows is None:
@@ -169,8 +164,6 @@ def record_mvm_batch(
     )
     if noise_draws:
         scope.inc("noise_draws", noise_draws)
-    if popcount_events:
-        scope.inc("popcount_events", popcount_events)
     if skipped_rows:
         scope.inc("skipped_rows", skipped_rows)
     if skipped_slots:

@@ -3,7 +3,7 @@
 A gateway shard serves many *tenants* — distinct session configurations
 (different zoo networks, engines, tiles) — but cannot keep every model
 resident forever: a compiled :class:`~repro.serve.session.
-InferenceSession` pins its fused/packed matrices and device arrays in
+InferenceSession` pins its fused matrices and device arrays in
 memory.  :class:`WarmRegistry` is the shard-local answer:
 
 * ``get(key)`` returns the warm entry, loading (compiling) it on first

@@ -60,12 +60,13 @@ __all__ = [
     "run_skip_exact",
 ]
 
-#: Engines the runtime activation estimator plugs into — the only ones
-#: the ``skip_exact`` oracle pass can (and must) cover.
+#: Engine names the runtime activation estimator plugs into (the fused
+#: engine and its ``packed`` alias) — the only ones the ``skip_exact``
+#: oracle pass can (and must) cover.
 ESTIMATOR_ENGINES = ("fused", "packed")
 
-#: The ``engine`` of a ``skip_exact`` verdict comparing the two
-#: estimator engines' exact-mode counters with each other.
+#: The ``engine`` of a ``skip_exact`` verdict comparing the exact-mode
+#: counters of the two estimator engine names with each other.
 COUNTER_PAIR = "fused=packed"
 
 logger = obs.get_logger("testing")
@@ -95,9 +96,9 @@ class ConformanceConfig:
     campaign_config: Optional[CampaignConfig] = None
     #: Explicit case list overriding the generator (for reruns).
     explicit_cases: Optional[Sequence[ConformanceCase]] = None
-    #: ``"exact"`` adds the ``skip_exact`` oracle pass: the fused and
-    #: packed engines with the exact runtime activation estimator must
-    #: stay bit-identical to their estimator-off selves on the
+    #: ``"exact"`` adds the ``skip_exact`` oracle pass: the fused engine
+    #: and its packed alias with the exact runtime activation estimator
+    #: must stay bit-identical to their estimator-off selves on the
     #: zoo-shaped (golden) cases.
     estimator: str = "off"
 
@@ -116,10 +117,10 @@ class SkipExactResult:
     The exact runtime activation estimator
     (:class:`repro.core.estimate.EstimatorPolicy` ``mode='exact'``)
     promises *bit-identical* outputs to the estimator-off engine: every
-    early decision it takes carries a rigorous rounding-error margin
-    (fused) or is pure integer arithmetic (packed), and anything it
-    cannot prove falls back to the off arithmetic.  This pass holds it
-    to that promise — no tolerance, ``array_equal`` or bust.
+    early decision it takes is exact integer arithmetic against
+    certified firing tables, and anything it cannot prove falls back to
+    the off arithmetic.  This pass holds it to that promise — no
+    tolerance, ``array_equal`` or bust.
 
     A verdict whose ``engine`` is :data:`COUNTER_PAIR` compares the
     engines with each other instead: ``mismatched_samples`` then counts
@@ -175,8 +176,8 @@ def run_skip_exact(
     estimator engines, a second check holds "packed = fused" for the
     estimator too: the exact sessions' ``hw/layer*`` exports and the
     ``reads_since_program`` of every device array must be equal
-    (:data:`COUNTER_PAIR` verdicts).  ``popcount_events`` is excluded;
-    only the packed engine records it.
+    (:data:`COUNTER_PAIR` verdicts).  ``packed`` is an alias of the
+    fused engine, so this verdict holds the alias to the whole spec.
     """
     from repro.core.estimate import EstimatorPolicy
 
@@ -233,7 +234,7 @@ def run_skip_exact(
 
 def _exact_counters(runner, built, spec):
     """One recorded run of ``spec``: its outputs, and its ``hw/layer*``
-    exports (without ``popcount_events``) and per-array read clocks."""
+    exports and per-array read clocks."""
     session = runner._session(built, spec)
     with obs.recording() as rec:
         out = session.infer_batch(built.inputs)
@@ -243,7 +244,6 @@ def _exact_counters(runner, built, spec):
         for kind in ("counters", "gauges", "histograms")
         for name, value in exported.get(kind, {}).items()
         if name.startswith("hw/layer")
-        and not name.endswith("/popcount_events")
     }
     for name, array in session.device_arrays.items():
         counters["reads", name] = array.health().reads_since_program

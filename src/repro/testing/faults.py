@@ -263,14 +263,14 @@ def temporal_aging_sweep(
 def estimator_confidence_sweep(
     case: ConformanceCase,
     levels: Sequence[float] = (0.0, 0.1, 0.3, 0.5),
-    engine: str = "packed",
+    engine: str = "fused",
     runner: Optional[DifferentialRunner] = None,
 ) -> NoiseSweepResult:
     """Decision disagreement vs the estimator-off engine as confidence drops.
 
     Sweeps the ``threshold`` runtime activation estimator
-    (:class:`repro.core.estimate.EstimatorPolicy`) on ``engine``
-    (threshold mode is packed-only) and measures the fraction of
+    (:class:`repro.core.estimate.EstimatorPolicy`) on ``engine`` (the
+    fused engine or its ``packed`` alias) and measures the fraction of
     samples whose *classification decisions* depart from the same
     engine running estimator-free.  ``levels`` are oriented
     larger-is-worse like every campaign knob: a level ``l``

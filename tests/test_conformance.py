@@ -216,14 +216,19 @@ class TestSkipExact:
         ]
 
     def test_counter_divergence_detected(self, monkeypatch):
-        # A packed split layer lowered without its accounting pass keeps
-        # exact = off but records no skip counters.
-        from repro.core import packed
+        # A "packed" builder that drops its estimator policy keeps exact
+        # = off but records no skip counters: the counter verdict is
+        # what proves the alias carries the whole spec.
+        from repro.core import engines
+        from repro.core.estimate import EstimatorPolicy
 
-        split = packed._PACKED["split"]
+        build = engines.engine_builder("packed")
         monkeypatch.setitem(
-            packed._PACKED, "split",
-            lambda record, estimator: split(record, type(estimator)()),
+            engines._ENGINES, "packed",
+            lambda network, thresholds, spec, **kw: build(
+                network, thresholds,
+                replace(spec, estimator=EstimatorPolicy()), **kw,
+            ),
         )
         results = run_skip_exact([self.CASE], runner=_fast_runner())
         verdicts = {r.engine: r for r in results}
@@ -403,6 +408,26 @@ class TestRunConformance:
         assert report.injected is not None
         assert report.artifacts
         assert all(p.exists() for p in report.artifacts)
+
+
+class TestEstimatorSweep:
+    """The threshold-mode curve of the fault campaign can fail."""
+
+    def test_threshold_curve_moves_on_a_generated_case(self):
+        from repro.testing.faults import estimator_confidence_sweep
+
+        case = {c.name: c for c in generate_cases(20, seed=0)}["case-004"]
+        curve = estimator_confidence_sweep(
+            case, levels=(0.0, 0.3, 0.5, 0.7, 0.9)
+        )
+        errors = curve.mean_error
+        assert errors[0] == 0.0
+        assert errors[2] > 0.0
+        tolerance = CampaignConfig().monotone_tolerance
+        assert all(
+            later >= earlier - tolerance
+            for earlier, later in zip(errors, errors[1:])
+        ), errors
 
 
 @pytest.mark.slow

@@ -71,11 +71,14 @@ class TestAssembleSEI:
         )
         assert {0, 3, 7} <= set(hw.layer_computes)
         # The only non-weighted computes are the fused engine's
-        # identity skips for ReLUs running on already-binarized data.
-        from repro.nn.layers import ReLU
+        # identity skips for ReLUs and its uint8 OR-pools, both running
+        # on already-binarized data.
+        from repro.nn.layers import MaxPool2D, ReLU
 
         for index in set(hw.layer_computes) - {0, 3, 7}:
-            assert isinstance(tiny_quantized.network.layers[index], ReLU)
+            assert isinstance(
+                tiny_quantized.network.layers[index], (ReLU, MaxPool2D)
+            )
 
     def test_accuracy_close_to_software(self, tiny_quantized, tiny_dataset):
         hw = assemble_sei_network(
@@ -189,8 +192,8 @@ class TestRowPlan:
         layer, split, x = _conv_split_case(rng, padding, stride, ragged, n)
         assert split._needs_sentinel == ragged
         bits = F.im2col(x, 3, 3, stride, padding)
-        # The plan keeps its dtype: float64 for the fused kernels, uint8
-        # bit planes for the packed ones — the same layout either way.
+        # The plan keeps its dtype: float64 for the float kernels, uint8
+        # bit planes for the integer ones — the same layout either way.
         for dtype in (np.float64, np.uint8):
             rows = RowPlan(split._gather, dtype).gather(layer, x, Scratch())
             assert rows.dtype == dtype
@@ -205,7 +208,8 @@ class TestRowPlan:
             cells_per_weight=split._block_crossbars[0].cells_per_weight,
         )
         expected = unfold_oracle(layer, x, split.fire, add_bias=False)
-        assert out.flags["C_CONTIGUOUS"] and out.dtype == np.float64
+        # Integral blocks: the certified kernel's uint8 vote plane.
+        assert out.dtype == np.uint8
         np.testing.assert_array_equal(out, expected)
         fired = split.fire(bits)
         np.testing.assert_array_equal(

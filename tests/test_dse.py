@@ -223,6 +223,13 @@ class TestStudy:
         quick = get_study("sei_vs_adc_quick")
         assert len(quick.candidates()) == 8
 
+    def test_activation_skip_names_one_engine(self):
+        # off, exact, and threshold at three confidences, on fused only.
+        study = get_study("activation_skip")
+        candidates = study.candidates()
+        assert len(candidates) == 5
+        assert all("engine" not in c.config for c in candidates)
+
     def test_unknown_study_raises(self):
         with pytest.raises(ConfigurationError, match="unknown study"):
             get_study("nope")

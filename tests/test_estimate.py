@@ -261,7 +261,7 @@ class TestSkipPassCost:
         self, calls, tiny_quantized, tiny_dataset
     ):
         compiled, estimated = self._compile(
-            "packed", tiny_quantized, "threshold", confidence=0.8
+            "fused", tiny_quantized, "threshold", confidence=0.8
         )
         images = tiny_dataset["test_x"][:8]
         compiled.predict(images)
@@ -296,14 +296,6 @@ class TestEngineGates:
                 tiny_quantized.network,
                 tiny_quantized.thresholds,
                 self._spec("reference"),
-            )
-
-    def test_fused_engine_rejects_threshold_mode(self, tiny_quantized):
-        with pytest.raises(ConfigurationError, match="packed"):
-            compile_network(
-                tiny_quantized.network,
-                tiny_quantized.thresholds,
-                self._spec("fused", mode="threshold"),
             )
 
     def test_temporal_aging_rejects_estimator(self, tiny_quantized):
@@ -389,20 +381,34 @@ class TestCompiledNetworkIdentity:
             > 0
         )
 
+    def test_fused_threshold_at_full_confidence_matches_off(
+        self, tiny_quantized, tiny_dataset
+    ):
+        # At confidence 1.0 the bound tables are the exact ones, so
+        # threshold mode on the fused engine decides as ``off`` does,
+        # vote settle included (split layer).
+        images = tiny_dataset["test_x"][:24]
+        hw = {"max_crossbar_size": 128}
+        off = self._predict("fused", tiny_quantized, images, "off", **hw)
+        full = self._predict(
+            "fused", tiny_quantized, images, "threshold", **hw
+        )
+        np.testing.assert_array_equal(full, off)
+
     @pytest.mark.parametrize("hw", [{}, {"max_crossbar_size": 128}])
     def test_threshold_disagreement_grows_from_zero(
         self, hw, tiny_quantized, tiny_dataset
     ):
         # Full-confidence threshold mode keeps the entire interval, so
         # its decisions match ``off`` on every sample (on both the
-        # unsplit and the split paths); shrinking the confidence can
-        # only add disagreement.  Threshold mode is packed-only.
+        # unsplit and the split paths); shrinking the confidence must
+        # add disagreement, and shrinking it further must not remove it.
         images = tiny_dataset["test_x"][:40]
-        off = self._predict("packed", tiny_quantized, images, "off", **hw)
+        off = self._predict("fused", tiny_quantized, images, "off", **hw)
         rates = []
-        for confidence in (1.0, 0.8):
+        for confidence in (1.0, 0.8, 0.5):
             loose = self._predict(
-                "packed",
+                "fused",
                 tiny_quantized,
                 images,
                 "threshold",
@@ -411,4 +417,5 @@ class TestCompiledNetworkIdentity:
             )
             rates.append(float((off != loose).mean()))
         assert rates[0] == 0.0
-        assert rates[1] >= rates[0]
+        assert rates[1] > 0.0
+        assert rates[2] >= rates[1]

@@ -1,11 +1,13 @@
-"""Unit and equivalence tests for the packed SEI engine.
+"""Unit and equivalence tests for the fused engine's uint8 planes and
+its ``packed`` alias.
 
-The packed engine runs the certified integer GEMM on uint8 selection
-planes and decides against integer firing tables.  These tests pin the
-decision tables against the float64 comparison and the assembled engine
-against the fused engine — including the exact-float32 DAC path, the
-folded binarize passes, the fallback to the fused kernels, fresh folded
-outputs and serving-tile batch invariance.
+On integral crossbars the fused engine runs the certified integer GEMM
+on uint8 selection planes and decides against integer firing tables;
+``packed`` names the same engine.  These tests pin the decision tables
+against the float64 comparison and the alias against the fused engine —
+including the exact-float32 DAC path, the folded binarize passes, the
+float64 fallback on noisy or aging cells, fresh folded outputs and
+serving-tile batch invariance.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from repro.core.engines import EngineSpec, compile_network
 from repro.core.hardware_network import HardwareConfig
 from repro.core.integer_gemm import integer_layer
 from repro.core.splitting import SplitDecision
+from repro.hw.array import TemporalConfig
 from repro.hw.device import RRAMDevice
 
 TIGHT = dict(rtol=1e-9, atol=1e-12)
@@ -86,15 +89,14 @@ class TestAssembledEngine:
         # with it the folded threshold comparison) must stay engaged.
         assert packed.prebinarized
         assert packed.prebinarized <= set(tiny_quantized.thresholds)
-        # On integral crossbars both engines fold the same layers, and
-        # the fused engine's folded planes are the float64 planes the
-        # outer binarize would write.
+        # On integral crossbars both names fold the same layers, and the
+        # folded planes are uint8 0/1 planes.
         assert fused.prebinarized == packed.prebinarized
         x = fused._quantize_input(images)
         for index in range(len(fused.network.layers)):
             x = fused.run_layer(index, x)
             if index in fused.prebinarized:
-                assert x.dtype == np.float64 and x.flags.c_contiguous
+                assert x.dtype == np.uint8 and x.max(initial=0) <= 1
 
     def test_program_noise_falls_back_to_fused_exactly(
         self, tiny_quantized, tiny_dataset
@@ -205,4 +207,21 @@ class TestAssembledEngine:
                 EngineSpec(name=engine, hardware=config),
             )
             logits[engine] = compiled.predict(images)
+        np.testing.assert_array_equal(logits["packed"], logits["fused"])
+
+    def test_temporal_hardware_compiles_and_matches_fused(
+        self, tiny_quantized, tiny_dataset
+    ):
+        """Aging cells never certify, so the alias runs the float64
+        kernels on temporal hardware, exactly as fused does."""
+        device = RRAMDevice(bits=4)
+        temporal = TemporalConfig(drift_nu=0.05, seed=3)
+        images = tiny_dataset["test_x"][:16]
+        logits = {}
+        for engine in ("fused", "packed"):
+            compiled, logits[engine] = self._predict(
+                engine, tiny_quantized, images, device,
+                max_crossbar_size=128, temporal=temporal,
+            )
+            assert compiled.device_arrays
         np.testing.assert_array_equal(logits["packed"], logits["fused"])

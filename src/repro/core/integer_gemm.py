@@ -21,13 +21,14 @@ entry is certified when no reachable integer lies within ``E/s`` (plus
 the rounding of ``q`` itself) of the boundary ``q = (T − b)/s``; then
 ``fire ⇔ acc ≥ floor(q) + 1``.  A layer with any uncertified entry, an
 accumulator bound of 2**24 or more, or cells off the integer grid is
-not integral here and keeps its float64 kernel.
+not integral here and is decided by the float64 kernel.
 
-The fused engine runs these operands, tables and kernels
-(:func:`firing_kernel`, :func:`accumulate`) on uint8 row and output
-planes, and the runtime estimator's accounting pass
-(:class:`repro.core.estimate.SkipPass`) runs on the same operands; the
-per-layer builders are in :mod:`repro.core.hardware_network`.
+Every thresholded layer of the fused engine runs :func:`firing_kernel`
+on uint8 row and output planes: on these operands and tables
+(:func:`accumulate`) when they certify, on the layer's float64
+``fallback`` when they do not.  The runtime estimator's accounting pass
+(:class:`repro.core.estimate.SkipPass`) runs on the certified operands;
+the per-layer builders are in :mod:`repro.core.hardware_network`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.hw.array import PerGeneration
+
 from repro.core.estimate import vote_reads
 from repro.core.matrix_compute import Scratch, Tally
 
@@ -44,7 +47,6 @@ __all__ = [
     "INT_RESIDUAL_TOL",
     "F32_EXACT",
     "IntegerLayer",
-    "Certified",
     "certify",
     "integer_matrix",
     "integer_layer",
@@ -208,34 +210,20 @@ def integer_layer(
     )
 
 
-class Certified:
-    """One layer's :class:`IntegerLayer`, rebuilt per array generation.
+def certify(
+    arrays, build: Callable[[], Optional[IntegerLayer]]
+) -> Optional[PerGeneration]:
+    """A layer's certified operands, rebuilt per array generation, or
+    None when its cells age (temporal arrays) or do not certify at
+    compile time.
 
-    ``build`` returns the layer's integer operands, or None when they do
-    not certify.  A static array that is re-programmed is re-certified
-    on the next call, like ``SEIMatrix.fused_matrix`` and
-    ``DacCrossbar.merged()``.
+    ``build`` returns the layer's :class:`IntegerLayer`, or None when
+    the operands do not certify; a static array that is re-programmed is
+    re-certified on the next ``get()``, like ``SEIMatrix.fused_matrix``.
     """
-
-    def __init__(self, arrays, build: Callable[[], Optional[IntegerLayer]]):
-        self._arrays = tuple(arrays)
-        self._build = build
-        self._cache = None
-
-    def get(self) -> Optional[IntegerLayer]:
-        key = tuple(array.generation for array in self._arrays)
-        cache = self._cache
-        if cache is None or cache[0] != key:
-            cache = self._cache = (key, self._build())
-        return cache[1]
-
-
-def certify(arrays, build) -> Optional[Certified]:
-    """A layer's :class:`Certified` operands, or None when its cells age
-    (temporal arrays keep float64) or do not certify at compile time."""
     if any(array.temporal for array in arrays):
         return None
-    certified = Certified(arrays, build)
+    certified = PerGeneration(arrays, build)
     return None if certified.get() is None else certified
 
 
@@ -273,33 +261,35 @@ def accumulate(
 
 
 def firing_kernel(
-    certified: Certified,
+    certified: Optional[PerGeneration],
     fallback: Callable[[np.ndarray], np.ndarray],
     scratch: Scratch,
     active: Callable[[np.ndarray], object],
     vote: Optional[int] = None,
     skip=None,
 ):
-    """A thresholded layer's kernel on certified integer operands.
+    """The one kernel of a thresholded layer of the fused engine.
 
     ``run`` maps planned ``(n, K, H)`` (or ``(n, rows)`` for one block)
     rows to fresh uint8 ``(n, cols)`` fired-block counts — with a
     ``vote``, to the 0/1 plane ``counts >= vote`` — and a
     :class:`Tally` whose active counts come from ``active(rows)``.  One
-    block's counts are its 0/1 plane.  If the layer's arrays were
-    re-programmed and no longer certify, ``fallback(rows)`` gives the
-    float64 kernel's counts instead.
+    block's counts are its 0/1 plane.  ``certified`` (from
+    :func:`certify`) gives the integer operands; without them (cells
+    that age or never certify, ``None``), or when the layer's arrays
+    were re-programmed and no longer certify, ``fallback(rows)`` gives
+    the float64 kernel's counts instead.
 
     ``skip`` is the estimated layer's
-    :class:`repro.core.estimate.SkipPass`.  In exact mode the kernel
-    keeps each block's decisions for the vote-settled reads and hands
-    the recorder the pass as a callable; in threshold mode the pass
-    runs on every call and supplies the counts.
+    :class:`repro.core.estimate.SkipPass`, run on certified operands
+    only.  In exact mode the kernel keeps each block's decisions for the
+    vote-settled reads and hands the recorder the pass as a callable; in
+    threshold mode the pass runs on every call and supplies the counts.
     """
 
     def run(rows: np.ndarray):
         n = rows.shape[0]
-        layer = certified.get()
+        layer = None if certified is None else certified.get()
         reads = account = None
         if layer is None:
             counts = fallback(rows)

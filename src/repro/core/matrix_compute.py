@@ -137,7 +137,7 @@ class RowPlan:
     ``(positions, rows)`` im2col matrix (for a Dense layer, the input
     itself).  The gathered rows have the plan's ``dtype``: float64 for
     the float kernels (a uint8 0/1 input plane widens exactly), uint8
-    bit or code planes for the certified integer kernels.
+    bit or code planes for the fused engine's firing kernels.
     """
 
     def __init__(
@@ -248,11 +248,10 @@ class LayerKernel:
     arrays whose read clocks the compute advances, ``meter`` holds the
     layer's static recorder fields (``rows``, ``cols``, ``blocks``,
     ``cells_per_weight``, ...), and ``bias`` is added to the output
-    unless the kernel folds it (``None``).  With a ``vote`` (the §4.3
-    digital vote of a split layer), ``run`` returns per-position
-    fired-block counts and the compute emits the fresh float64 plane
-    ``counts >= vote`` in the layer's output layout.  ``prebinarized``
-    marks a kernel that emits its layer's 0/1 plane itself.
+    unless the kernel folds it (``None``).  ``prebinarized`` marks a
+    kernel whose output is its layer's 0/1 plane (every thresholded
+    layer of the fused engine, whose :func:`repro.core.integer_gemm.
+    firing_kernel` decides, and a split layer votes, inside ``run``).
     """
 
     run: Callable[[np.ndarray], Tuple[np.ndarray, Tally]]
@@ -261,7 +260,6 @@ class LayerKernel:
     meter: Dict[str, Any]
     arrays: Sequence[Any] = ()
     bias: Optional[np.ndarray] = None
-    vote: Optional[int] = None
     prebinarized: bool = False
     scratch: Scratch = field(default_factory=Scratch)
 
@@ -283,14 +281,12 @@ def layer_compute(index: Optional[int], kernel: LayerKernel):
 
     validate → :meth:`RowPlan.gather` → kernel → ``note_reads`` →
     record (:func:`repro.obs.power.record_layer`) → bias →
-    :func:`fold_rows` → vote.  The engines (and the software hooks of
+    :func:`fold_rows`.  The engines (and the software hooks of
     :mod:`repro.core.sei`, :mod:`repro.core.dynamic_threshold` and
     :mod:`repro.core.splitting`) differ only in the :class:`LayerKernel`
     they lower each layer to.  ``index=None`` records nothing.
     """
-    plan, run, arrays, vote = (
-        kernel.plan, kernel.run, kernel.arrays, kernel.vote
-    )
+    plan, run, arrays = kernel.plan, kernel.run, kernel.arrays
 
     def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
         x = kernel.prepare(x)
@@ -308,15 +304,7 @@ def layer_compute(index: Optional[int], kernel: LayerKernel):
         )
         if kernel.bias is not None:
             out += kernel.bias
-        out = fold_rows(layer, x.shape, out)
-        if vote is None:
-            return out
-        # A fresh float64 plane in the layer's output layout, exactly
-        # what the outer binarize would write: the next layers see the
-        # same data (a uint8 plane would make their matmul mixed-type).
-        plane = np.empty(out.shape)
-        np.greater_equal(out, vote, out=plane, casting="unsafe")
-        return plane
+        return fold_rows(layer, x.shape, out)
 
     compute.prebinarized = kernel.prebinarized
     return compute

@@ -30,7 +30,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, MappingError, ShapeError
-from repro.hw.array import DeviceArrayBase, TemporalConfig, make_array
+from repro.hw.array import (
+    DeviceArrayBase,
+    PerGeneration,
+    TemporalConfig,
+    make_array,
+)
 from repro.hw.device import RRAMDevice
 from repro.nn.layers import Layer
 
@@ -202,7 +207,10 @@ class SEIMatrix:
         # noise is per-cell per-read); with an aging array it must happen
         # per *generation* — the cache below is keyed on the array's
         # generation counter, so a static array collapses exactly once.
-        self._fused_cache: Optional[Tuple[int, np.ndarray]] = None
+        self._fused = PerGeneration(
+            (self.array,),
+            lambda: self.effective_weights * self.ir_drop_attenuation,
+        )
 
     # -- geometry ------------------------------------------------------------
     @property
@@ -273,15 +281,7 @@ class SEIMatrix:
         """
         if self.device.read_sigma > 0:
             return None
-        generation = self.array.generation
-        cache = self._fused_cache
-        if cache is None or cache[0] != generation:
-            cache = (
-                generation,
-                self.effective_weights * self.ir_drop_attenuation,
-            )
-            self._fused_cache = cache
-        return cache[1]
+        return self._fused.get()
 
     def read_effective_weights(
         self, rng: Optional[np.random.Generator] = None
@@ -400,7 +400,12 @@ def layer_meter(crossbars, rows: int, blocks: int = 1, **fields) -> dict:
 
 def sei_kernel(matrix: SEIMatrix, bias: np.ndarray) -> LayerKernel:
     """The :class:`LayerKernel` of a layer on one unsplit SEI crossbar:
-    the fused crossbar pass over every planned receptive field."""
+    the fused crossbar pass (:meth:`SEIMatrix.column_sums`) over every
+    planned receptive field, emitting the float64 column sums.  The
+    software hook :func:`sei_layer_compute` runs it; the fused engine
+    decides its thresholded layers in
+    :func:`repro.core.integer_gemm.firing_kernel`, whose float64
+    fallback runs the same crossbar pass."""
 
     def run(bits: np.ndarray):
         return matrix.column_sums(bits), Tally(lambda: bits.sum(axis=1))
@@ -424,11 +429,13 @@ def sei_layer_compute(
 
     Raises :class:`MappingError` if the layer needs splitting; use
     :func:`repro.core.splitting.split_layer_compute` in that case.  The
-    hook runs the fused engine's unsplit kernel (:func:`sei_kernel`)
-    through :func:`repro.core.matrix_compute.layer_compute` and records
-    nothing.  It exposes its backing structure as ``compute.matrix``
-    (and the live device array as ``compute.array``) so aging campaigns
-    can advance the device clock between inference passes.
+    hook runs :func:`sei_kernel` through
+    :func:`repro.core.matrix_compute.layer_compute`, returns the float64
+    pre-threshold outputs (the enclosing BinarizedNetwork thresholds
+    them) and records nothing.  It exposes its backing structure as
+    ``compute.matrix`` (and the live device array as ``compute.array``)
+    so aging campaigns can advance the device clock between inference
+    passes.
     """
     matrix = SEIMatrix(
         layer_weight_matrix(layer),

@@ -270,8 +270,9 @@ def vote_kernel(split: SplitMatrix, scratch: Scratch, dtype=np.uint8):
     ``dtype``) and a :class:`Tally`.  It selects rows, accumulates,
     decides and counts votes, all in ``scratch``; the block dgemms see
     the same operands as :meth:`SplitMatrix.block_bits`, so the
-    decisions are bit-identical.  The fused engine's split layer and the
-    software split hooks share it.
+    decisions are bit-identical.  It is the software split hooks' kernel
+    and the float64 fallback of the fused engine's split layer (on
+    blocks that do not certify).
     """
     num_blocks, cols = split.num_blocks, split.cols
 
@@ -301,9 +302,10 @@ def _vote_layer_compute(
 ):
     """A split layer's compute on the shared :func:`vote_kernel`.
 
-    Hidden layers vote (``counts >= V``, a float64 0/1 plane); the final
-    layer emits the float64 counts.  The SplitMatrix folds the layer
-    bias into its block sums, so the kernel adds none.
+    Hidden layers vote inside the kernel (``counts >= V``, a float64
+    0/1 plane); the final layer emits the float64 counts.  The
+    SplitMatrix folds the layer bias into its block sums, so the kernel
+    adds none.
     """
     weight_matrix = layer_weight_matrix(layer)
     if weight_matrix.shape != matrix.weights.shape:
@@ -312,8 +314,17 @@ def _vote_layer_compute(
             f"layer weight matrix {weight_matrix.shape}"
         )
     scratch = Scratch()
+    count = vote_kernel(matrix, scratch, np.float64 if final else np.uint8)
+    vote = matrix.decision.vote_threshold
+
+    def voted(gathered: np.ndarray):
+        counts, tally = count(gathered)
+        plane = np.empty(counts.shape)
+        np.greater_equal(counts, vote, out=plane, casting="unsafe")
+        return plane, tally
+
     kernel = LayerKernel(
-        vote_kernel(matrix, scratch, np.float64 if final else np.uint8),
+        count if final else voted,
         RowPlan(matrix._gather),
         binary_inputs("split-matrix inputs"),
         dict(
@@ -322,7 +333,6 @@ def _vote_layer_compute(
             blocks=matrix.num_blocks,
             cells_per_weight=cells_per_weight,
         ),
-        vote=None if final else matrix.decision.vote_threshold,
         scratch=scratch,
     )
     return layer_compute(obs_index, kernel)

@@ -28,8 +28,9 @@ pulse-level so a real program-and-verify loop maps 1:1.
 
 Consumers watch :attr:`DeviceArrayBase.generation`: it increments
 whenever the conductances may have changed, so compile-time collapses
-(fused matrices, padded block layouts) re-derive lazily instead of
-going stale.  Static arrays never bump it after programming — the fused
+(fused matrices, padded block layouts, certified integer operands)
+re-derive lazily through :class:`PerGeneration` instead of going
+stale.  Static arrays never bump it after programming — the fused
 engine's caches stay valid forever, as before.
 """
 
@@ -51,6 +52,7 @@ __all__ = [
     "ArrayHealth",
     "DeviceArraySnapshot",
     "DeviceArrayBase",
+    "PerGeneration",
     "SimDeviceArray",
     "TemporalSimDeviceArray",
     "DeviceSpec",
@@ -471,6 +473,31 @@ class DeviceArrayBase(ABC):
             f"{type(self).__name__}({shape}, {self.device.bits}-bit cells, "
             f"gen={self._generation})"
         )
+
+
+class PerGeneration:
+    """A value derived from device arrays' cells, rebuilt per generation.
+
+    ``get()`` returns ``build()``, built again only when the
+    :attr:`DeviceArrayBase.generation` of some array in ``arrays`` moved
+    since the last build: a static array's value is built exactly once,
+    an aging or re-programmed one's lazily on its next use.  The key
+    and the value are stored as one tuple, so a reader on another
+    thread always sees a value with the key it was built for.
+    """
+
+    def __init__(self, arrays, build) -> None:
+        self._arrays = tuple(arrays)
+        self._build = build
+        self._cache: Optional[Tuple[Tuple[int, ...], object]] = None
+
+    def get(self):
+        key = tuple(array.generation for array in self._arrays)
+        cache = self._cache
+        if cache is None or cache[0] != key:
+            cache = (key, self._build())
+            self._cache = cache
+        return cache[1]
 
 
 class SimDeviceArray(DeviceArrayBase):

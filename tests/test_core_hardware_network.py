@@ -26,6 +26,36 @@ class TestHardwareConfig:
             HardwareConfig(homogenize_iterations=-1)
         assert HardwareConfig(homogenize_iterations=0).homogenize_iterations == 0
 
+    @pytest.mark.parametrize(
+        "options, field",
+        [
+            (dict(ir_drop_lambda=-1.0), "ir_drop_lambda"),
+            (dict(ir_drop_lambda=float("nan")), "ir_drop_lambda"),
+            (dict(max_crossbar_size=0), "max_crossbar_size"),
+            (dict(max_crossbar_size=-5), "max_crossbar_size"),
+            (dict(weight_bits=0), "weight_bits"),
+            (dict(weight_bits=6), "weight_bits"),
+            (dict(weight_bits=8, device=RRAMDevice(bits=3)), "weight_bits"),
+        ],
+    )
+    def test_bad_values_rejected_at_construction(self, options, field):
+        """Values the lowering cannot build fail when the config is made,
+        not deep inside a compile."""
+        with pytest.raises(ConfigurationError, match=field):
+            HardwareConfig(**options)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(ir_drop_lambda=0.0),
+            dict(max_crossbar_size=1),
+            dict(weight_bits=4),
+            dict(weight_bits=8, device=RRAMDevice(bits=2)),
+        ],
+    )
+    def test_boundary_values_accepted(self, options):
+        HardwareConfig(**options)
+
 
 class TestHardwareSplitMatrix:
     def test_block_sums_close_to_exact(self, rng):
@@ -254,21 +284,27 @@ class TestRowPlan:
             layer.weight_matrix, RRAMDevice(bits=4), 8,
             np.random.default_rng(1),
         )
-        compute = _lowered("dac", layer, crossbar=crossbar)
         x = rng.random((n, 2, 9, 9))
+        driven = crossbar.quantize(x)
+        sums = unfold_oracle(
+            layer, driven, lambda rows: rows @ crossbar.merged()
+        )
+        # The input layer is always thresholded (BinarizedNetwork needs a
+        # threshold on every weighted layer but the last); a data-derived
+        # threshold makes both decisions occur.
+        threshold = float(np.median(sums))
+        compute = _lowered("dac", layer, threshold, crossbar=crossbar)
+        assert compute.prebinarized
         with obs.recording() as rec:
             out = compute(layer, x)
-        driven = crossbar.quantize(x)
         # DACs drive every row each cycle: every row counts as active.
         rows = F.im2col(driven, 3, 3, stride, padding)
         assert _metrics_dict(rec.metrics) == _expected_metrics(
             np.ones_like(rows), 4,
             cells_per_weight=crossbar.cells_per_weight,
         )
-        expected = unfold_oracle(
-            layer, driven, lambda rows: rows @ crossbar.merged()
-        )
-        np.testing.assert_array_equal(out, expected)
+        assert out.dtype == np.uint8
+        np.testing.assert_array_equal(out, sums > threshold)
 
     def test_scratch_plane_is_overwritten(self, rng):
         # The planned rows live in per-thread scratch: the next gather on
@@ -317,6 +353,22 @@ class TestAssembleADC:
     def test_all_layers_hooked(self, trained_tiny_network):
         wrapper = assemble_adc_network(trained_tiny_network)
         assert set(wrapper.layer_computes) == {0, 3, 7}
+
+    def test_full_precision_network_is_complete(self, trained_tiny_network):
+        """The thresholdless baseline sets every field, so it prints,
+        compares and reports no folded layers; the missing-threshold
+        check still holds for every other BinarizedNetwork."""
+        from repro.core import BinarizedNetwork
+        from repro.errors import QuantizationError
+
+        net = assemble_adc_network(trained_tiny_network)
+        assert isinstance(net, BinarizedNetwork)
+        assert net.prebinarized == frozenset()
+        assert net.thresholds == {} and net.input_bits == 8
+        assert "prebinarized" in repr(net)
+        assert net == net
+        with pytest.raises(QuantizationError, match="missing thresholds"):
+            BinarizedNetwork(trained_tiny_network, {})
 
     def test_engine_decomposes_at_hardware_weight_bits(
         self, tiny_quantized

@@ -4,9 +4,10 @@ A layer on integral crossbars computes exact integer accumulators with
 float32 GEMM and decides against firing tables certified to give the
 float64 kernel's decision for every reachable accumulator.  These tests
 pin the tables against that kernel over every subset of a small block,
-check that an uncertifiable layer (an exact tie) and aging cells keep
-the float64 kernel, that re-programmed cells are re-certified, and that
-fused keeps the float64 decision at a tie.
+check that an uncertifiable layer (an exact tie) and aging cells are
+decided by the firing kernel's float64 fallback, that re-programmed
+cells are re-certified, and that fused keeps the float64 decision at a
+tie.
 """
 
 import numpy as np
@@ -19,9 +20,6 @@ from repro.core.engines import EngineSpec, compile_network
 from repro.core.hardware_network import (
     HardwareConfig,
     HardwareSplitMatrix,
-    certified_dac,
-    certified_split,
-    certified_unsplit,
     certify_split,
     grid_unit,
     lower_fused,
@@ -58,6 +56,12 @@ def _record(split, threshold=0.5):
 
 def _run(kernel, record, bits=SUBSETS):
     return layer_compute(None, kernel)(record["layer"], bits)
+
+
+def _ran_integer_gemm(kernel) -> bool:
+    """Whether the kernel's integer GEMM has run on this thread (it
+    allocates its accumulators in the kernel's scratch)."""
+    return "gemm_acc" in getattr(kernel.scratch._local, "bufs", {})
 
 
 def _float_fired(split, bits=SUBSETS):
@@ -105,7 +109,7 @@ def test_tables_give_the_float64_decision(
 
 def test_exact_tie_is_uncertified_and_lowers_to_float64():
     """A threshold on an exact accumulator boundary cannot be certified:
-    the layer keeps the float64 kernel."""
+    the firing kernel decides the layer in its float64 fallback."""
     split = _split(
         np.random.default_rng(1).normal(size=(ROWS, COLS)), SplitDecision(0.3)
     )
@@ -118,12 +122,12 @@ def test_exact_tie_is_uncertified_and_lowers_to_float64():
     ) is None
     tied = _split(split.weights, SplitDecision(tie))
     record = _record(tied)
-    assert certified_split(record) is None
+    assert certify_split(tied) is None
     kernel = lower_fused(record, EstimatorPolicy())
-    assert kernel.plan.dtype == np.float64
-    np.testing.assert_array_equal(
-        _run(kernel, record), _float_fired(tied).any(axis=1)
-    )
+    out = _run(kernel, record)
+    assert not _ran_integer_gemm(kernel)
+    assert kernel.prebinarized and out.dtype == np.uint8
+    np.testing.assert_array_equal(out, _float_fired(tied).any(axis=1))
 
 
 def _find_tie():
@@ -151,17 +155,17 @@ def _find_tie():
 
 def test_fused_decides_an_exact_tie_in_float64():
     """At a tie the float64 ``>`` and ``floor(q) + 1`` round apart; the
-    layer is uncertified, so fused keeps the float64 kernel's decision.
+    layer is uncertified, so fused keeps the float64 fallback's decision.
     (The reference oracle sums slice by slice and may round a tie
     either way, so the float64 block sums are the check here.)"""
     weights, limit = _find_tie()
     split = _split(weights, SplitDecision(limit))
     record = _record(split)
+    assert certify_split(split) is None
     kernel = lower_fused(record, EstimatorPolicy())
-    assert kernel.plan.dtype == np.float64
-    np.testing.assert_array_equal(
-        _run(kernel, record), _float_fired(split).any(axis=1)
-    )
+    out = _run(kernel, record)
+    assert not _ran_integer_gemm(kernel)
+    np.testing.assert_array_equal(out, _float_fired(split).any(axis=1))
 
 
 def _reprogram(array, grid: bool) -> None:
@@ -184,10 +188,10 @@ def test_reprogrammed_block_matches_float64_kernel(grid):
     split = _split(rng.normal(size=(ROWS, COLS)), SplitDecision(0.21))
     record = _record(split)
     kernel = lower_fused(record, EstimatorPolicy())
-    assert kernel.plan.dtype == np.uint8
     compute = layer_compute(None, kernel)
     bits = SUBSETS
     compute(record["layer"], bits)
+    assert _ran_integer_gemm(kernel)
     _reprogram(split.block_arrays[1], grid)
     assert (certify_split(split) is not None) == grid
     scratch = Scratch()
@@ -224,8 +228,10 @@ def test_reprogrammed_packed_merge_follows_the_cells(
     )
 
 
-def test_temporal_cells_keep_float64(tiny_quantized):
-    """Aging arrays never take the integer kernel."""
+def test_temporal_cells_keep_float64(tiny_quantized, tiny_dataset):
+    """Aging arrays never take the integer kernel: every thresholded
+    layer is decided by its firing kernel's float64 fallback and still
+    emits the layer's uint8 0/1 plane."""
     config = HardwareConfig(
         device=RRAMDevice(bits=4), max_crossbar_size=128,
         temporal=TemporalConfig(drift_nu=0.01),
@@ -234,18 +240,16 @@ def test_temporal_cells_keep_float64(tiny_quantized):
         tiny_quantized.network, tiny_quantized.thresholds,
         EngineSpec(name="fused", hardware=config),
     )
-    lowerings = {"dac": certified_dac, "unsplit": certified_unsplit,
-                 "split": certified_split}
+    x = compiled._quantize_input(tiny_dataset["test_x"][:8])
     kinds = set()
-    for record in compiled.hardware_layers.values():
-        kinds.add(record["kind"])
-        if record["kind"] in lowerings:
-            assert lowerings[record["kind"]](record) is None
-        kernel = lower_fused(record, EstimatorPolicy())
-        assert kernel.plan.dtype == np.float64
+    for index, layer in enumerate(compiled.network.layers):
+        record = compiled.hardware_layers.get(index)
+        if record is not None and record["threshold"] is not None:
+            kinds.add(record["kind"])
+            kernel = lower_fused(record, EstimatorPolicy())
+            out = layer_compute(None, kernel)(layer, x)
+            assert not _ran_integer_gemm(kernel)
+            assert kernel.prebinarized and out.dtype == np.uint8
+        x = compiled.run_layer(index, x)
     assert {"dac", "split"} <= kinds
-    assert compiled.prebinarized == {
-        index
-        for index, record in compiled.hardware_layers.items()
-        if record["kind"] == "split"
-    }
+    assert compiled.prebinarized == set(compiled.thresholds)

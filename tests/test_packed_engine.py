@@ -20,6 +20,7 @@ from repro.core.integer_gemm import integer_layer
 from repro.core.splitting import SplitDecision
 from repro.hw.array import TemporalConfig
 from repro.hw.device import RRAMDevice
+from repro.testing import SEI_ATOL, SEI_RTOL
 
 TIGHT = dict(rtol=1e-9, atol=1e-12)
 
@@ -109,8 +110,9 @@ class TestAssembledEngine:
         _, fused_logits = self._predict(
             "fused", tiny_quantized, images, device
         )
-        # Off-grid cells: no folding anywhere, same float arithmetic.
-        assert packed.prebinarized == frozenset()
+        # Off-grid cells: every thresholded layer is still decided in its
+        # firing kernel (by the float64 fallback) and emits its plane.
+        assert packed.prebinarized == set(tiny_quantized.thresholds)
         np.testing.assert_array_equal(packed_logits, fused_logits)
 
     def test_folded_layers_emit_exact_bits(
@@ -192,7 +194,8 @@ class TestAssembledEngine:
 
     def test_noisy_network2_falls_back_to_fused_exactly(self):
         """Programming variation leaves no crossbar integral: packed runs
-        the fused kernels (fed float64 rows) and matches fused exactly."""
+        the fused firing kernels' float64 fallback and matches fused
+        exactly."""
         from repro.zoo import get_dataset, get_quantized
 
         dataset = get_dataset()
@@ -212,8 +215,9 @@ class TestAssembledEngine:
     def test_temporal_hardware_compiles_and_matches_fused(
         self, tiny_quantized, tiny_dataset
     ):
-        """Aging cells never certify, so the alias runs the float64
-        kernels on temporal hardware, exactly as fused does."""
+        """Aging cells never certify, so the alias runs the firing
+        kernels' float64 fallback on temporal hardware, exactly as fused
+        does."""
         device = RRAMDevice(bits=4)
         temporal = TemporalConfig(drift_nu=0.05, seed=3)
         images = tiny_dataset["test_x"][:16]
@@ -225,3 +229,50 @@ class TestAssembledEngine:
             )
             assert compiled.device_arrays
         np.testing.assert_array_equal(logits["packed"], logits["fused"])
+
+    @pytest.mark.parametrize(
+        "device, temporal",
+        [
+            (RRAMDevice(bits=4, program_sigma=0.1), None),
+            (RRAMDevice(bits=4, read_sigma=0.02), None),
+            (RRAMDevice(bits=4), TemporalConfig(drift_nu=0.05, seed=3)),
+        ],
+        ids=["program", "read", "temporal"],
+    )
+    def test_uncertified_layers_emit_planes(
+        self, tiny_quantized, tiny_dataset, device, temporal
+    ):
+        """Cells that never certify still run every thresholded layer
+        through its firing kernel: the float64 fallback decides, the
+        layer emits its uint8 0/1 plane, and the logits follow the
+        reference oracle (across an ``advance`` of aging arrays), with
+        the alias identical to fused."""
+        images = tiny_dataset["test_x"][:16]
+        config = HardwareConfig(
+            device=device, max_crossbar_size=128, temporal=temporal
+        )
+        nets = {
+            engine: compile_network(
+                tiny_quantized.network, tiny_quantized.thresholds,
+                EngineSpec(name=engine, hardware=config),
+            )
+            for engine in ("fused", "packed", "reference")
+        }
+        for step in range(2):
+            if step:
+                for net in nets.values():
+                    for array in net.device_arrays.values():
+                        array.advance(100.0)
+            logits = {name: net.predict(images) for name, net in nets.items()}
+            np.testing.assert_allclose(
+                logits["fused"], logits["reference"],
+                rtol=SEI_RTOL, atol=SEI_ATOL,
+            )
+            np.testing.assert_array_equal(logits["packed"], logits["fused"])
+        fused = nets["fused"]
+        assert fused.prebinarized == set(tiny_quantized.thresholds)
+        x = fused._quantize_input(images)
+        for index in range(len(fused.network.layers)):
+            x = fused.run_layer(index, x)
+            if index in fused.prebinarized:
+                assert x.dtype == np.uint8 and x.max(initial=0) <= 1

@@ -8,7 +8,8 @@ digests
 
 * the logits (sha256 of their bytes, with dtype and shape),
 * every ``hw/*`` counter, gauge and histogram of the recorder,
-* every device array's ``reads_since_program``.
+* every device array's ``reads_since_program``, ``generation`` and
+  ``snapshot().digest()`` after the run.
 
 The grid covers the ``fused`` engine and its ``packed`` alias on zoo
 networks 1-3 under clean, stuck-at (2% + 2%), programming-noise
@@ -170,8 +171,12 @@ def digest(options: dict, models: dict, images: np.ndarray,
                     array.advance(ADVANCE)
             logits.append(net.predict(images, batch_size=64))
     out = {
-        "reads": {
-            name: int(array.reads_since_program)
+        "arrays": {
+            name: [
+                int(array.reads_since_program),
+                int(array.generation),
+                array.snapshot().digest(),
+            ]
             for name, array in sorted(net.device_arrays.items())
         },
     }

@@ -84,6 +84,16 @@ def _aggregate(knob, levels, errors, trials) -> NoiseSweepResult:
     )
 
 
+#: The :class:`RRAMDevice` non-ideality each sweep kind sets.
+_SWEEP_FIELDS = {
+    "program": "program_sigma",
+    "read": "read_sigma",
+    "stuck": "stuck_low_rate",
+    "stuck_low": "stuck_low_rate",
+    "stuck_high": "stuck_high_rate",
+}
+
+
 def sei_variation_sweep(
     network: Sequential,
     thresholds: Dict[int, float],
@@ -98,14 +108,15 @@ def sei_variation_sweep(
     """Error vs device noise for SEI crossbars on every hidden layer.
 
     ``kind='program'`` sweeps programming variation (fixed per trial);
-    ``kind='read'`` sweeps per-read noise; ``kind='stuck'`` sweeps the
-    stuck-at-g_min cell fault rate (forming/endurance failures).  The
-    first weighted layer (DAC-driven input layer, §3.2) keeps exact
-    software math.
+    ``kind='read'`` sweeps per-read noise; ``kind='stuck_low'`` (or
+    ``'stuck'``) sweeps the stuck-at-g_min cell fault rate
+    (forming/endurance failures) and ``kind='stuck_high'`` the
+    stuck-at-g_max rate.  The first weighted layer (DAC-driven input
+    layer, §3.2) keeps exact software math.
     """
-    if kind not in ("program", "read", "stuck"):
+    if kind not in _SWEEP_FIELDS:
         raise ConfigurationError(
-            f"kind must be 'program', 'read' or 'stuck', got {kind!r}"
+            f"kind must be one of {', '.join(_SWEEP_FIELDS)}, got {kind!r}"
         )
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
@@ -117,10 +128,7 @@ def sei_variation_sweep(
         for trial in range(trials):
             rng = np.random.default_rng(seed * 1000 + trial)
             device = RRAMDevice(
-                bits=device_bits,
-                program_sigma=sigma if kind == "program" else 0.0,
-                read_sigma=sigma if kind == "read" else 0.0,
-                stuck_low_rate=sigma if kind == "stuck" else 0.0,
+                bits=device_bits, **{_SWEEP_FIELDS[kind]: sigma}
             )
             binarized = BinarizedNetwork(network, dict(thresholds))
             for index in indices:

@@ -54,7 +54,7 @@ from repro.core.threshold_search import (
     search_thresholds,
 )
 from repro.errors import ConfigurationError
-from repro.hw.array import DeviceSpec, TemporalConfig, make_array
+from repro.hw.array import DeviceArray, DeviceSpec, TemporalConfig
 from repro.hw.retune import RetunePolicy
 from repro.nn.network import Sequential
 from repro.serve.batcher import BatcherConfig, MicroBatcher
@@ -78,7 +78,7 @@ __all__ = [
     "DeviceSpec",
     "TemporalConfig",
     "RetunePolicy",
-    "make_array",
+    "DeviceArray",
 ]
 
 

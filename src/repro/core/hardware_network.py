@@ -38,12 +38,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.hw.array import (
-    DeviceArrayBase,
-    PerGeneration,
-    TemporalConfig,
-    make_array,
-)
+from repro.hw.array import DeviceArray, PerGeneration, TemporalConfig
 from repro.hw.device import RRAMDevice
 from repro.hw.peripherals import ADC, DAC
 from repro.hw.tech import TechnologyModel
@@ -94,8 +89,8 @@ class HardwareConfig:
     partition_method: str = "homogenize"
     homogenize_iterations: int = 2000
     seed: int = 0
-    #: Optional aging behaviour; None (or all-off) keeps the cells on
-    #: static SimDeviceArrays — bit-identical to historical behaviour.
+    #: Optional aging behaviour; None (or all-off) keeps every
+    #: DeviceArray static — bit-identical to historical behaviour.
     temporal: Optional[TemporalConfig] = None
 
     def __post_init__(self) -> None:
@@ -243,7 +238,7 @@ class DacCrossbar:
         slices, self.coefficients, self.scale = decompose_weights(
             matrix, weight_bits, device.bits
         )
-        self.array = make_array(device, temporal=temporal, rng=rng)
+        self.array = DeviceArray(device, temporal=temporal, rng=rng)
         self.array.program(slices, rng)
         self.dac = DAC(bits=data_bits)
         self.cell_max = 2**device.bits - 1
@@ -412,9 +407,8 @@ def lower_sei_network(
     binarized.hardware_layers = hardware_layers
     # Flat registry of every live device array in the compiled network,
     # keyed "layer<i>" / "layer<i>/block<k>".  The serving layer ages,
-    # health-checks and re-tunes through this — it is the one place the
-    # Sim/Phys split surfaces at network granularity.
-    device_arrays: Dict[str, DeviceArrayBase] = {}
+    # health-checks and re-tunes through this.
+    device_arrays: Dict[str, DeviceArray] = {}
     binarized.device_arrays = device_arrays
     weighted = [
         i
@@ -1022,7 +1016,7 @@ def assemble_adc_network(
         if calibration_images is not None
         else None
     )
-    device_arrays: Dict[str, DeviceArrayBase] = {}
+    device_arrays: Dict[str, DeviceArray] = {}
     binarized.device_arrays = device_arrays
     first_weighted = True
     for index, layer in enumerate(network.layers):

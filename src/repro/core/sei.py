@@ -30,12 +30,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, MappingError, ShapeError
-from repro.hw.array import (
-    DeviceArrayBase,
-    PerGeneration,
-    TemporalConfig,
-    make_array,
-)
+from repro.hw.array import DeviceArray, PerGeneration, TemporalConfig
 from repro.hw.device import RRAMDevice
 from repro.nn.layers import Layer
 
@@ -148,8 +143,8 @@ class SEIMatrix:
         Source of programming noise (only used when the device is noisy).
     temporal:
         Optional :class:`~repro.hw.array.TemporalConfig`; when enabled
-        the cells live on a :class:`~repro.hw.array.
-        TemporalSimDeviceArray` and age between computes.
+        the cells of the :class:`~repro.hw.array.DeviceArray` age
+        between computes.
     """
 
     weights: np.ndarray
@@ -195,7 +190,7 @@ class SEIMatrix:
         # leading slice at a time, consuming the RNG stream exactly like
         # the historical per-slice loop here.
         rng = self.rng if self.rng is not None else np.random.default_rng()
-        self.array: DeviceArrayBase = make_array(
+        self.array = DeviceArray(
             self.device, temporal=self.temporal, rng=rng
         )
         self.array.program(slices, rng)

@@ -47,7 +47,7 @@ Candidate configuration keys understood by the hardware evaluator:
 =================  ==========================================================
 
 Any non-zero aging knob compiles the session over
-:class:`~repro.hw.array.TemporalSimDeviceArray` cells (``reuse=False``
+:class:`~repro.hw.array.DeviceArray` aging cells (``reuse=False``
 — aged sessions must not leak into the warm registry), scores the
 fresh hardware, runs ``age_batches`` aging batches, re-scores, and
 records the drift/retune telemetry plus the device-array snapshot
@@ -304,7 +304,7 @@ def aging_evaluator(
     """
     import numpy as np
 
-    from repro.hw.array import make_array
+    from repro.hw.array import DeviceArray
     from repro.hw.device import RRAMDevice
 
     config = candidate.config
@@ -320,7 +320,7 @@ def aging_evaluator(
         program_sigma=float(config.get("program_sigma") or 0.0),
     )
     targets = np.random.default_rng([study.seed, 0xA6E]).random((rows, cols))
-    array = make_array(
+    array = DeviceArray(
         device,
         temporal=temporal,
         rng=np.random.default_rng([study.seed, candidate.index]),

@@ -1,24 +1,19 @@
 """RRAM hardware substrate: device, arrays, crossbar, peripherals, tech.
 
-The stable hardware surface.  Cell state lives on
-:class:`DeviceArrayBase` implementations (:class:`SimDeviceArray` — the
-static numpy model; :class:`TemporalSimDeviceArray` — seeded aging);
-engines program and read *through* that interface rather than holding
-conductance arrays, which is what makes a physical backend (a
-``PhysDeviceArray`` driving a tester) a drop-in replacement.
+The stable hardware surface.  Cell state lives on one
+:class:`DeviceArray` (the numpy device model, static or with seeded
+closed-form aging); engines program and read *through* it rather than
+holding conductance arrays.
 :class:`DeviceSpec` is the declarative entry point the ``repro.api``
 facade threads through compile/serve.
 """
 
 from repro.hw.array import (
     ArrayHealth,
-    DeviceArrayBase,
+    DeviceArray,
     DeviceArraySnapshot,
     DeviceSpec,
-    SimDeviceArray,
     TemporalConfig,
-    TemporalSimDeviceArray,
-    make_array,
 )
 from repro.hw.crossbar import Crossbar
 from repro.hw.device import RRAMDevice
@@ -48,15 +43,12 @@ __all__ = [
     "TuningResult",
     "stuck_cell_map",
     "tune_cells",
-    # Device arrays (the Sim/Phys split).
-    "DeviceArrayBase",
-    "SimDeviceArray",
-    "TemporalSimDeviceArray",
+    # Device arrays.
+    "DeviceArray",
     "TemporalConfig",
     "DeviceArraySnapshot",
     "ArrayHealth",
     "DeviceSpec",
-    "make_array",
     # Online re-tuning.
     "RetunePolicy",
     "RetuneEvent",

@@ -1,32 +1,26 @@
-"""Stateful device arrays: the Base/Sim(/Phys) split under ``repro.hw``.
+"""Stateful device arrays: the one cell-array model under ``repro.hw``.
 
 Engines used to poke programmed conductance arrays directly (``Crossbar.
 conductance``, ``SEIMatrix._conductances``); every consumer therefore
 assumed the device state was *frozen* at program time.  Real crossbars
 are not: conductance drifts (power law [8]), retention decays toward the
-high-resistance state, and every read disturbs the cells a little.  This
-module introduces the abstract :class:`DeviceArrayBase` interface —
-program / read / pulse / snapshot / health — that crossbar-consuming
-code talks to instead, with two implementations:
+high-resistance state, and every read disturbs the cells a little.
+:class:`DeviceArray` is the one array every crossbar-consuming engine
+programs and reads through — program / read / snapshot / health:
 
-* :class:`SimDeviceArray` wraps the existing :class:`~repro.hw.device.
-  RRAMDevice` numpy model **bit-for-bit**: programming consumes the RNG
-  stream exactly like the legacy per-slice loops, reads return exactly
-  the conductances the legacy code read, and nothing changes over time.
-  All seeded behaviour (conformance, golden corpus) is preserved.
-* :class:`TemporalSimDeviceArray` advances device state in time:
-  programming-pulse granularity (``pulse``/``program`` epochs), seeded
+* it wraps the :class:`~repro.hw.device.RRAMDevice` numpy model
+  **bit-for-bit**: programming consumes the RNG stream exactly like the
+  legacy per-slice loops and reads return exactly the conductances the
+  legacy code read, so all seeded behaviour (conformance, golden
+  corpus) is preserved;
+* given an enabled :class:`TemporalConfig` it ages in time: seeded
   power-law conductance drift, retention decay toward ``g_min`` and
   per-read disturb keyed to the *actual* read counts the engines report
-  through :meth:`DeviceArrayBase.note_reads`.  State is a closed-form
+  through :meth:`DeviceArray.note_reads`.  State is a closed-form
   function of ``(programmed cells, age, reads)``, so trajectories are
   deterministic, snapshot/restore is byte-exact and campaigns replay.
 
-A physical backend (``PhysDeviceArray`` driving a tester) would subclass
-:class:`DeviceArrayBase` the same way; the interface is deliberately
-pulse-level so a real program-and-verify loop maps 1:1.
-
-Consumers watch :attr:`DeviceArrayBase.generation`: it increments
+Consumers watch :attr:`DeviceArray.generation`: it increments
 whenever the conductances may have changed, so compile-time collapses
 (fused matrices, padded block layouts, certified integer operands)
 re-derive lazily through :class:`PerGeneration` instead of going
@@ -38,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
@@ -51,12 +44,9 @@ __all__ = [
     "TemporalConfig",
     "ArrayHealth",
     "DeviceArraySnapshot",
-    "DeviceArrayBase",
+    "DeviceArray",
     "PerGeneration",
-    "SimDeviceArray",
-    "TemporalSimDeviceArray",
     "DeviceSpec",
-    "make_array",
 ]
 
 
@@ -209,26 +199,51 @@ class DeviceArraySnapshot:
         return h.hexdigest()[:16]
 
 
-class DeviceArrayBase(ABC):
-    """Abstract stateful array of RRAM cells behind one device model.
+class DeviceArray:
+    """A stateful array of RRAM cells behind one device model.
 
     The interface every crossbar-consuming engine talks to:
 
     * :meth:`program` — closed-loop array (re-)program of normalised
       targets; resets the age/read counters (a fresh programming epoch).
-    * :meth:`pulse` — one *open-loop* programming attempt over (part
-      of) the array: the granularity a program-and-verify loop works
-      at.  Does not reset the aging clock.
+      3-D targets ``(K, rows, cols)`` are programmed **one leading slice
+      at a time** (physically: the K bit-slice planes of an SEI column
+      are written sequentially), consuming the RNG stream exactly like
+      the historical per-slice loops of :class:`~repro.core.sei.
+      SEIMatrix`.
+    * :meth:`apply_conductance` — install externally tuned cells.
     * :attr:`conductance` / :attr:`normalized` — the current cell
       state, raw and on the [0, 1] weight scale (no read noise).
     * :meth:`read` / :meth:`read_normalized` — one noisy read of the
-      current state through the device's read-noise model.
+      current state through the device's read-noise model: the raw base
+      (the :class:`~repro.hw.crossbar.Crossbar` convention) and the
+      round-tripped weight-scale base (the SEI convention).
     * :meth:`note_reads` — engines report how many MVM positions they
-      actually evaluated; temporal backends turn this into read
-      disturb.
+      actually evaluated; this drives read disturb.
     * :meth:`advance` — move the array's clock forward.
     * :meth:`snapshot` / :meth:`restore` / :meth:`health` —
       observability and byte-exact replay.
+
+    ``temporal=None`` (or a config with every effect off) makes a
+    *static* array: :attr:`config` is None, :attr:`temporal` False, and
+    nothing changes after programming.  An enabled config ages the cells
+    in **closed form** from the programmed base state and the usage
+    counters::
+
+        w(t, r) = (g0 - g_min)
+                  * (1 + t / t0) ** -nu_cell        # power-law drift
+                  * exp(-t / tau)                   # retention decay
+                  * exp(-rate * r)                  # read disturb
+        g(t, r) = clip(g_min + w, g_min, g_max)
+
+    so trajectories are fully determined by ``(base, age, reads)`` —
+    snapshot/restore is byte-exact and two arrays with equal seeds and
+    histories agree bit-for-bit, regardless of when the state was
+    materialised.  Until the first aging factor applies, the base state
+    is returned untouched, so a fresh aging array reads exactly like a
+    static one.  Per-cell drift exponents are drawn from ``(config.seed,
+    epoch)`` at each program epoch, so a re-program (re-tune)
+    deterministically redraws them.
 
     :attr:`generation` increments whenever cell state may have changed;
     consumers key their compile-time collapses on it.
@@ -238,16 +253,26 @@ class DeviceArrayBase(ABC):
         self,
         device: Optional[RRAMDevice] = None,
         shape: Optional[Tuple[int, ...]] = None,
+        temporal: Optional[TemporalConfig] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.device = device if device is not None else RRAMDevice()
         self.shape = tuple(shape) if shape is not None else None
+        self.config = (
+            temporal if temporal is not None and temporal.enabled else None
+        )
         self.rng = rng
         self._generation = 0
         self._age = 0.0
         self._reads = 0
         self._pulses = 0
         self._epoch = 0
+        self._achieved: Optional[np.ndarray] = None
+        self._norm: Optional[np.ndarray] = None
+        self._targets: Optional[np.ndarray] = None
+        self._base_cache: Optional[np.ndarray] = None
+        self._nu: Optional[np.ndarray] = None
+        self._aged_cache: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
 
     # -- identity ---------------------------------------------------------
     @property
@@ -258,7 +283,7 @@ class DeviceArrayBase(ABC):
     @property
     def temporal(self) -> bool:
         """Whether this array's state evolves over time."""
-        return False
+        return self.config is not None
 
     @property
     def age(self) -> float:
@@ -279,28 +304,36 @@ class DeviceArrayBase(ABC):
     @property
     def targets(self) -> Optional[np.ndarray]:
         """Normalised targets of the last program (for re-tuning)."""
-        return getattr(self, "_targets", None)
+        return self._targets
 
-    # -- state ------------------------------------------------------------
-    @property
-    @abstractmethod
-    def conductance(self) -> np.ndarray:
-        """Current raw conductances (no read noise).  Treat as read-only."""
-
-    @property
-    @abstractmethod
-    def normalized(self) -> np.ndarray:
-        """Current cells on the [0, 1] weight scale.  Treat as read-only."""
-
-    @abstractmethod
+    # -- programming -------------------------------------------------------
     def program(
         self,
         targets: np.ndarray,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
         """(Re-)program normalised targets; returns achieved conductance."""
+        targets = np.asarray(targets, dtype=np.float64)
+        if self.shape is not None and targets.shape != self.shape:
+            raise ShapeError(
+                f"targets have shape {targets.shape}, array has "
+                f"shape {self.shape}"
+            )
+        rng = self._resolve_rng(rng)
+        if targets.ndim >= 3:
+            # Slice-sequential programming: one device.program call per
+            # leading plane.  program() interleaves its normal and
+            # uniform draws per call, so this per-plane order is the ONLY
+            # stream-compatible layout with the legacy slice loops.
+            achieved = np.stack(
+                [self.device.program(plane, rng) for plane in targets]
+            )
+        else:
+            achieved = self.device.program(targets, rng)
+        self._install(achieved, pulses=0)
+        self._targets = targets.copy()
+        return achieved
 
-    @abstractmethod
     def apply_conductance(
         self,
         conductance: np.ndarray,
@@ -315,33 +348,108 @@ class DeviceArrayBase(ABC):
         clock and read counter reset, and ``pulses`` open-loop attempts
         are added to the lifetime pulse count.
         """
+        conductance = np.clip(
+            np.asarray(conductance, dtype=np.float64),
+            self.device.g_min,
+            self.device.g_max,
+        )
+        if self.shape is not None and conductance.shape != self.shape:
+            raise ShapeError(
+                f"conductance has shape {conductance.shape}, array has "
+                f"shape {self.shape}"
+            )
+        self._install(conductance, pulses)
+        if targets is not None:
+            self._targets = np.asarray(targets, dtype=np.float64).copy()
 
-    def pulse(
-        self,
-        targets: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-        where: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """One open-loop programming attempt; returns the new conductance.
-
-        Cells selected by ``where`` (all cells when ``None``) are
-        re-programmed toward ``targets`` with the device's open-loop
-        placement error.  The aging clock does **not** reset — pulses
-        are the inner steps of a tuning loop, not a fresh epoch.
-        """
-        targets = np.asarray(targets, dtype=np.float64)
-        attempt = self.device.program(targets, self._resolve_rng(rng))
-        base = self._pulse_base()
-        if where is not None:
-            attempt = np.where(np.asarray(where, dtype=bool), attempt, base)
-            count = int(np.count_nonzero(where))
-        else:
-            count = int(np.prod(attempt.shape))
-        self._install_pulse(attempt)
-        self._pulses += count
+    def _install(self, achieved: np.ndarray, pulses: int) -> None:
+        """Adopt ``achieved`` as the base state of a new program epoch."""
+        self.shape = achieved.shape
+        self._achieved = achieved
+        self._norm = self.device.conductance_to_normalized(achieved)
+        self._base_cache = None
+        self._aged_cache = None
+        self._age = 0.0
+        self._reads = 0
+        self._pulses += int(pulses)
+        self._epoch += 1
         self._generation += 1
-        return attempt
+        cfg = self.config
+        if cfg is not None and cfg.drift_nu > 0 and cfg.drift_nu_sigma > 0:
+            draw_rng = np.random.default_rng([cfg.seed, self._epoch])
+            self._nu = cfg.drift_nu * np.exp(
+                cfg.drift_nu_sigma * draw_rng.standard_normal(self.shape)
+            )
+        else:
+            self._nu = None
 
+    # -- state -------------------------------------------------------------
+    @property
+    def conductance(self) -> np.ndarray:
+        """Current raw conductances (no read noise).  Treat as read-only."""
+        return self._aged()[0]
+
+    @property
+    def normalized(self) -> np.ndarray:
+        """Current cells on the [0, 1] weight scale.  Treat as read-only."""
+        return self._aged()[1]
+
+    def _require_programmed(self) -> None:
+        if self._achieved is None:
+            raise ConfigurationError(
+                "device array has not been programmed yet"
+            )
+
+    def _aged(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Current (conductance, normalized), cached per generation."""
+        self._require_programmed()
+        cfg = self.config
+        untouched = (
+            cfg is None
+            or (
+                self._age <= 0
+                and (self._reads <= 0 or cfg.read_disturb_rate <= 0)
+            )
+        )
+        if untouched:
+            # Bit-identical passthrough: no aging factor is applied at
+            # all, so the base state (and hence every seeded read) is
+            # exactly what was programmed.
+            return self._achieved, self._norm
+        cached = self._aged_cache
+        if cached is not None and cached[0] == self._generation:
+            return cached[1], cached[2]
+        g_min = self.device.g_min
+        window = self._achieved - g_min
+        if cfg.drift_nu > 0 and self._age > 0:
+            nu = self._nu if self._nu is not None else cfg.drift_nu
+            window = window * (1.0 + self._age / cfg.drift_t0) ** (
+                -np.asarray(nu)
+            )
+        if cfg.retention_tau > 0 and self._age > 0:
+            window = window * np.exp(-self._age / cfg.retention_tau)
+        if cfg.read_disturb_rate > 0 and self._reads > 0:
+            window = window * np.exp(
+                -cfg.read_disturb_rate * float(self._reads)
+            )
+        aged = np.clip(g_min + window, g_min, self.device.g_max)
+        norm = self.device.conductance_to_normalized(aged)
+        self._aged_cache = (self._generation, aged, norm)
+        return aged, norm
+
+    def _normalized_base(self) -> np.ndarray:
+        """Current read base ``g_min + normalized * span``."""
+        aged, norm = self._aged()
+        span = self.device.g_max - self.device.g_min
+        if aged is not self._achieved:
+            return self.device.g_min + norm * span
+        # The SEI read base of the programmed cells (cached: identical
+        # every call until the cells change).
+        if self._base_cache is None:
+            self._base_cache = self.device.g_min + norm * span
+        return self._base_cache
+
+    # -- reads and time ----------------------------------------------------
     def read(
         self, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
@@ -366,18 +474,26 @@ class DeviceArrayBase(ABC):
         """Record ``n`` read events (MVM positions) against the array."""
         if n > 0:
             self._reads += int(n)
+            cfg = self.config
+            if cfg is not None and cfg.read_disturb_rate > 0:
+                self._generation += 1
 
     def advance(self, dt: float) -> None:
         """Move the array's clock ``dt`` time units forward."""
         if dt < 0:
             raise ConfigurationError(f"dt must be >= 0, got {dt}")
         self._age += float(dt)
+        cfg = self.config
+        if dt > 0 and cfg is not None and (
+            cfg.drift_nu > 0 or cfg.retention_tau > 0
+        ):
+            self._generation += 1
 
     # -- observability ----------------------------------------------------
     def health(self) -> ArrayHealth:
         """Drift magnitude and usage counters for the telemetry plane."""
         step = self.device.level_step
-        deviation = np.abs(self.conductance - self._programmed_base()) / step
+        deviation = np.abs(self.conductance - self._achieved) / step
         return ArrayHealth(
             age=self._age,
             reads_since_program=self._reads,
@@ -390,26 +506,28 @@ class DeviceArrayBase(ABC):
 
     def snapshot(self) -> DeviceArraySnapshot:
         """Full restorable state (see :class:`DeviceArraySnapshot`)."""
+        self._require_programmed()
         return DeviceArraySnapshot(
-            conductance=self._programmed_base().copy(),
-            normalized=np.array(self._programmed_normalized(), copy=True),
+            conductance=self._achieved.copy(),
+            normalized=np.array(self._norm, copy=True),
             targets=(
-                None if self.targets is None else self.targets.copy()
+                None if self._targets is None else self._targets.copy()
             ),
             age=self._age,
             reads_since_program=self._reads,
             pulses=self._pulses,
             program_epoch=self._epoch,
-            drift_nu=self._drift_nu_state(),
-            temporal=self._temporal_state(),
+            drift_nu=None if self._nu is None else self._nu.copy(),
+            temporal=self.config,
         )
 
     def restore(self, snap: DeviceArraySnapshot) -> None:
         """Restore a snapshot byte-exactly; the future trajectory repeats."""
-        self._set_base(
-            np.array(snap.conductance, copy=True),
-            np.array(snap.normalized, copy=True),
-        )
+        self._achieved = np.array(snap.conductance, copy=True)
+        self._norm = np.array(snap.normalized, copy=True)
+        self.shape = self._achieved.shape
+        self._base_cache = None
+        self._aged_cache = None
         self._targets = (
             None if snap.targets is None else np.array(snap.targets, copy=True)
         )
@@ -417,10 +535,12 @@ class DeviceArrayBase(ABC):
         self._reads = int(snap.reads_since_program)
         self._pulses = int(snap.pulses)
         self._epoch = int(snap.program_epoch)
-        self._restore_drift_nu(snap.drift_nu)
+        self._nu = (
+            None if snap.drift_nu is None or self.config is None
+            else np.array(snap.drift_nu, copy=True)
+        )
         self._generation += 1
 
-    # -- hooks for subclasses ---------------------------------------------
     def _resolve_rng(
         self, rng: Optional[np.random.Generator]
     ) -> np.random.Generator:
@@ -429,41 +549,6 @@ class DeviceArrayBase(ABC):
         if self.rng is None:
             self.rng = np.random.default_rng()
         return self.rng
-
-    @abstractmethod
-    def _programmed_base(self) -> np.ndarray:
-        """Raw conductances as of the last program epoch (drift anchor)."""
-
-    @abstractmethod
-    def _programmed_normalized(self) -> np.ndarray:
-        """Normalised cells as of the last program epoch."""
-
-    @abstractmethod
-    def _normalized_base(self) -> np.ndarray:
-        """Current read base ``g_min + normalized * span``."""
-
-    @abstractmethod
-    def _pulse_base(self) -> np.ndarray:
-        """Conductances a partial pulse merges into."""
-
-    @abstractmethod
-    def _install_pulse(self, conductance: np.ndarray) -> None:
-        """Adopt a pulse result as the new programmed base."""
-
-    @abstractmethod
-    def _set_base(
-        self, conductance: np.ndarray, normalized: np.ndarray
-    ) -> None:
-        """Adopt restored base state."""
-
-    def _drift_nu_state(self) -> Optional[np.ndarray]:
-        return None
-
-    def _restore_drift_nu(self, nu: Optional[np.ndarray]) -> None:
-        pass
-
-    def _temporal_state(self) -> Optional[TemporalConfig]:
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         shape = "unprogrammed" if self.shape is None else "x".join(
@@ -479,7 +564,7 @@ class PerGeneration:
     """A value derived from device arrays' cells, rebuilt per generation.
 
     ``get()`` returns ``build()``, built again only when the
-    :attr:`DeviceArrayBase.generation` of some array in ``arrays`` moved
+    :attr:`DeviceArray.generation` of some array in ``arrays`` moved
     since the last build: a static array's value is built exactly once,
     an aging or re-programmed one's lazily on its next use.  The key
     and the value are stored as one tuple, so a reader on another
@@ -498,310 +583,6 @@ class PerGeneration:
             cache = (key, self._build())
             self._cache = cache
         return cache[1]
-
-
-class SimDeviceArray(DeviceArrayBase):
-    """The existing numpy device model behind the array interface.
-
-    Bit-for-bit compatible with the legacy direct-programming code:
-
-    * 3-D targets ``(K, rows, cols)`` are programmed **one leading
-      slice at a time** (physically: the K bit-slice planes of an SEI
-      column are written sequentially), consuming the RNG stream
-      exactly like the historical per-slice loops in
-      :class:`~repro.core.sei.SEIMatrix`;
-    * the raw achieved conductances and the normalised view are both
-      retained, so :meth:`read` (raw base — the
-      :class:`~repro.hw.crossbar.Crossbar` convention) and
-      :meth:`read_normalized` (round-tripped base — the SEI
-      convention) each reproduce their legacy arithmetic exactly;
-    * nothing changes after programming: :attr:`generation` stays
-      fixed, so fused-matrix caches remain valid forever.
-    """
-
-    def __init__(
-        self,
-        device: Optional[RRAMDevice] = None,
-        shape: Optional[Tuple[int, ...]] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__(device, shape, rng)
-        self._achieved: Optional[np.ndarray] = None
-        self._norm: Optional[np.ndarray] = None
-        self._targets: Optional[np.ndarray] = None
-        self._base_cache: Optional[np.ndarray] = None
-
-    # -- programming -------------------------------------------------------
-    def program(
-        self,
-        targets: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        targets = np.asarray(targets, dtype=np.float64)
-        if self.shape is not None and targets.shape != self.shape:
-            raise ShapeError(
-                f"targets have shape {targets.shape}, array has "
-                f"shape {self.shape}"
-            )
-        rng = self._resolve_rng(rng)
-        if targets.ndim >= 3:
-            # Slice-sequential programming: one device.program call per
-            # leading plane.  program() interleaves its normal and
-            # uniform draws per call, so this per-plane order is the ONLY
-            # stream-compatible layout with the legacy slice loops.
-            achieved = np.stack(
-                [self.device.program(plane, rng) for plane in targets]
-            )
-        else:
-            achieved = self.device.program(targets, rng)
-        self.shape = targets.shape
-        self._achieved = achieved
-        self._norm = self.device.conductance_to_normalized(achieved)
-        self._targets = targets.copy()
-        self._base_cache = None
-        self._age = 0.0
-        self._reads = 0
-        self._epoch += 1
-        self._generation += 1
-        self._after_program()
-        return achieved
-
-    def apply_conductance(
-        self,
-        conductance: np.ndarray,
-        targets: Optional[np.ndarray] = None,
-        pulses: int = 0,
-    ) -> None:
-        conductance = np.clip(
-            np.asarray(conductance, dtype=np.float64),
-            self.device.g_min,
-            self.device.g_max,
-        )
-        if self.shape is not None and conductance.shape != self.shape:
-            raise ShapeError(
-                f"conductance has shape {conductance.shape}, array has "
-                f"shape {self.shape}"
-            )
-        self.shape = conductance.shape
-        self._achieved = conductance
-        self._norm = self.device.conductance_to_normalized(conductance)
-        if targets is not None:
-            self._targets = np.asarray(targets, dtype=np.float64).copy()
-        self._base_cache = None
-        self._age = 0.0
-        self._reads = 0
-        self._pulses += int(pulses)
-        self._epoch += 1
-        self._generation += 1
-        self._after_program()
-
-    # -- state -------------------------------------------------------------
-    @property
-    def conductance(self) -> np.ndarray:
-        self._require_programmed()
-        return self._achieved
-
-    @property
-    def normalized(self) -> np.ndarray:
-        self._require_programmed()
-        return self._norm
-
-    # -- base hooks --------------------------------------------------------
-    def _require_programmed(self) -> None:
-        if self._achieved is None:
-            raise ConfigurationError(
-                "device array has not been programmed yet"
-            )
-
-    def _after_program(self) -> None:
-        pass
-
-    def _programmed_base(self) -> np.ndarray:
-        self._require_programmed()
-        return self._achieved
-
-    def _programmed_normalized(self) -> np.ndarray:
-        self._require_programmed()
-        return self._norm
-
-    def _normalized_base(self) -> np.ndarray:
-        # The SEI read base: cells round-tripped through the weight
-        # scale (cached — identical every call on a static array).
-        if self._base_cache is None:
-            span = self.device.g_max - self.device.g_min
-            self._base_cache = self.device.g_min + self.normalized * span
-        return self._base_cache
-
-    def _pulse_base(self) -> np.ndarray:
-        return self._programmed_base()
-
-    def _install_pulse(self, conductance: np.ndarray) -> None:
-        self._achieved = conductance
-        self._norm = self.device.conductance_to_normalized(conductance)
-        self._base_cache = None
-
-    def _set_base(
-        self, conductance: np.ndarray, normalized: np.ndarray
-    ) -> None:
-        self.shape = conductance.shape
-        self._achieved = conductance
-        self._norm = normalized
-        self._base_cache = None
-
-
-class TemporalSimDeviceArray(SimDeviceArray):
-    """A simulated array whose cells age (drift / retention / disturb).
-
-    The current conductance is a **closed-form** function of the
-    programmed base state and the usage counters::
-
-        w(t, r) = (g0 - g_min)
-                  * (1 + t / t0) ** -nu_cell        # power-law drift
-                  * exp(-t / tau)                   # retention decay
-                  * exp(-rate * r)                  # read disturb
-        g(t, r) = clip(g_min + w, g_min, g_max)
-
-    so trajectories are fully determined by ``(base, age, reads)`` —
-    snapshot/restore is byte-exact and two arrays with equal seeds and
-    histories agree bit-for-bit, regardless of when the state was
-    materialised.  With every effect disabled
-    (:attr:`TemporalConfig.enabled` False) the class degrades to
-    :class:`SimDeviceArray` exactly: same conductances, same RNG
-    stream, generation never bumps after programming.
-
-    Per-cell drift exponents are drawn from ``(config.seed, epoch)`` at
-    each program epoch, so a re-program (re-tune) deterministically
-    redraws them.
-    """
-
-    def __init__(
-        self,
-        device: Optional[RRAMDevice] = None,
-        shape: Optional[Tuple[int, ...]] = None,
-        config: Optional[TemporalConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__(device, shape, rng)
-        self.config = config if config is not None else TemporalConfig()
-        self._nu: Optional[np.ndarray] = None
-        self._aged_cache: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
-
-    # -- temporal behaviour ------------------------------------------------
-    @property
-    def temporal(self) -> bool:
-        return self.config.enabled
-
-    def note_reads(self, n: int) -> None:
-        super().note_reads(n)
-        if n > 0 and self.config.read_disturb_rate > 0:
-            self._generation += 1
-
-    def advance(self, dt: float) -> None:
-        super().advance(dt)
-        if dt > 0 and (
-            self.config.drift_nu > 0 or self.config.retention_tau > 0
-        ):
-            self._generation += 1
-
-    def _after_program(self) -> None:
-        cfg = self.config
-        if cfg.drift_nu > 0 and cfg.drift_nu_sigma > 0:
-            draw_rng = np.random.default_rng([cfg.seed, self._epoch])
-            self._nu = cfg.drift_nu * np.exp(
-                cfg.drift_nu_sigma * draw_rng.standard_normal(self.shape)
-            )
-        else:
-            self._nu = None
-        self._aged_cache = None
-
-    def _aged(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Current (conductance, normalized), cached per generation."""
-        self._require_programmed()
-        cfg = self.config
-        untouched = (
-            not cfg.enabled
-            or (
-                self._age <= 0
-                and (self._reads <= 0 or cfg.read_disturb_rate <= 0)
-            )
-        )
-        if untouched:
-            # Bit-identical passthrough: no aging factor is applied at
-            # all, so the base state (and hence every seeded read) is
-            # exactly what a static SimDeviceArray would produce.
-            return self._achieved, self._norm
-        cached = self._aged_cache
-        if cached is not None and cached[0] == self._generation:
-            return cached[1], cached[2]
-        g_min = self.device.g_min
-        window = self._achieved - g_min
-        if cfg.drift_nu > 0 and self._age > 0:
-            nu = self._nu if self._nu is not None else cfg.drift_nu
-            window = window * (1.0 + self._age / cfg.drift_t0) ** (
-                -np.asarray(nu)
-            )
-        if cfg.retention_tau > 0 and self._age > 0:
-            window = window * np.exp(-self._age / cfg.retention_tau)
-        if cfg.read_disturb_rate > 0 and self._reads > 0:
-            window = window * np.exp(
-                -cfg.read_disturb_rate * float(self._reads)
-            )
-        aged = np.clip(g_min + window, g_min, self.device.g_max)
-        norm = self.device.conductance_to_normalized(aged)
-        self._aged_cache = (self._generation, aged, norm)
-        return aged, norm
-
-    @property
-    def conductance(self) -> np.ndarray:
-        return self._aged()[0]
-
-    @property
-    def normalized(self) -> np.ndarray:
-        return self._aged()[1]
-
-    def _normalized_base(self) -> np.ndarray:
-        aged, norm = self._aged()
-        if aged is self._achieved:
-            return super()._normalized_base()
-        span = self.device.g_max - self.device.g_min
-        return self.device.g_min + norm * span
-
-    def _install_pulse(self, conductance: np.ndarray) -> None:
-        super()._install_pulse(conductance)
-        self._aged_cache = None
-
-    def _set_base(
-        self, conductance: np.ndarray, normalized: np.ndarray
-    ) -> None:
-        super()._set_base(conductance, normalized)
-        self._aged_cache = None
-
-    def _drift_nu_state(self) -> Optional[np.ndarray]:
-        return None if self._nu is None else self._nu.copy()
-
-    def _restore_drift_nu(self, nu: Optional[np.ndarray]) -> None:
-        self._nu = None if nu is None else np.array(nu, copy=True)
-        self._aged_cache = None
-
-    def _temporal_state(self) -> Optional[TemporalConfig]:
-        return self.config
-
-
-def make_array(
-    device: Optional[RRAMDevice] = None,
-    shape: Optional[Tuple[int, ...]] = None,
-    temporal: Optional[TemporalConfig] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> DeviceArrayBase:
-    """The right array backend for a device + temporal configuration.
-
-    ``temporal=None`` (or a config with every effect off) returns the
-    static :class:`SimDeviceArray`; an enabled config returns a
-    :class:`TemporalSimDeviceArray`.
-    """
-    if temporal is not None and temporal.enabled:
-        return TemporalSimDeviceArray(device, shape, temporal, rng)
-    return SimDeviceArray(device, shape, rng)
 
 
 @dataclass(frozen=True)
@@ -840,8 +621,8 @@ class DeviceSpec:
         self,
         shape: Optional[Tuple[int, ...]] = None,
         rng: Optional[Union[int, np.random.Generator]] = None,
-    ) -> DeviceArrayBase:
-        """A ready device array for this spec (Sim or Temporal backend)."""
+    ) -> DeviceArray:
+        """A ready device array for this spec (static or aging)."""
         if rng is not None and not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
-        return make_array(self.device(), shape, self.temporal, rng)
+        return DeviceArray(self.device(), shape, self.temporal, rng)

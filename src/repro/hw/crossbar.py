@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError, MappingError, ShapeError
-from repro.hw.array import DeviceArrayBase, TemporalConfig, make_array
+from repro.hw.array import DeviceArray, TemporalConfig
 from repro.hw.device import RRAMDevice
 
 __all__ = ["Crossbar"]
@@ -47,12 +47,11 @@ class Crossbar:
         and read noise.
     temporal:
         Optional :class:`~repro.hw.array.TemporalConfig`; when enabled
-        the cells live on an aging
-        :class:`~repro.hw.array.TemporalSimDeviceArray`.
+        the cells age.
 
-    The cells themselves live on a :class:`~repro.hw.array.
-    DeviceArrayBase` exposed as :attr:`array` — program, read, age,
-    snapshot and re-tune the crossbar through it.
+    The cells themselves live on a :class:`~repro.hw.array.DeviceArray`
+    exposed as :attr:`array` — program, read, age, snapshot and re-tune
+    the crossbar through it.
     """
 
     def __init__(
@@ -86,9 +85,7 @@ class Crossbar:
         self.cols = cols
 
         #: The stateful device array holding the programmed cells.
-        self.array: DeviceArrayBase = make_array(
-            self.device, temporal=temporal, rng=self._rng
-        )
+        self.array = DeviceArray(self.device, temporal=temporal, rng=self._rng)
         self.array.program(weights, self._rng)
         #: The quantized weights the crossbar represents, back in [0, 1].
         self.effective_weights = self.device.conductance_to_normalized(

@@ -3,7 +3,7 @@
 Variation-tolerant tuning ([13] in PAPER.md) is an *online* procedure:
 a deployed crossbar drifts, someone notices, and the write path runs
 program-and-verify again.  This module is the "someone notices" part —
-a small policy engine over :class:`~repro.hw.array.DeviceArrayBase`
+a small policy engine over :class:`~repro.hw.array.DeviceArray`
 health read-outs that decides when an array has degraded past its
 threshold and drives :func:`repro.hw.tuning.tune_cells` back toward the
 originally programmed targets.
@@ -24,7 +24,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.hw.array import ArrayHealth, DeviceArrayBase
+from repro.hw.array import ArrayHealth, DeviceArray
 from repro.hw.tuning import tune_cells
 
 __all__ = [
@@ -140,14 +140,14 @@ class RetuneReport:
 
 
 def array_needs_retune(
-    array: DeviceArrayBase, policy: RetunePolicy
+    array: DeviceArray, policy: RetunePolicy
 ) -> bool:
     """Whether an array's drift has crossed the policy threshold."""
     return array.health().drift_level_steps > policy.drift_threshold
 
 
 def retune_array(
-    array: DeviceArrayBase,
+    array: DeviceArray,
     policy: RetunePolicy,
     rng: Optional[np.random.Generator] = None,
     name: str = "array",
@@ -156,7 +156,7 @@ def retune_array(
 
     In ``"tune"`` mode the closed-loop program-and-verify of [13] runs
     against the array's device model and the converged conductances are
-    installed via :meth:`~repro.hw.array.DeviceArrayBase.
+    installed via :meth:`~repro.hw.array.DeviceArray.
     apply_conductance` — a fresh program epoch: the aging clock and
     read counter reset, and the per-cell drift exponents are redrawn.
     In ``"program"`` mode a single open-loop re-program is issued
@@ -208,7 +208,7 @@ def retune_array(
 
 
 def check_and_retune(
-    arrays: Mapping[str, DeviceArrayBase],
+    arrays: Mapping[str, DeviceArray],
     policy: RetunePolicy,
     rng: Optional[np.random.Generator] = None,
 ) -> RetuneReport:

@@ -49,8 +49,8 @@ from repro.core.engines import EngineSpec, compile_network
 from repro.core.binarized import BinarizedNetwork
 from repro.core.pipeline import SplitConfig, build_split_network
 from repro.core.threshold_search import SearchConfig
-from repro.errors import ConfigurationError
-from repro.hw.array import ArrayHealth, DeviceArrayBase
+from repro.errors import ConfigurationError, ShapeError
+from repro.hw.array import ArrayHealth, DeviceArray
 from repro.hw.retune import (
     RetunePolicy,
     RetuneReport,
@@ -193,7 +193,7 @@ class InferenceSession:
         return self.config.engine.deterministic
 
     @property
-    def device_arrays(self) -> Dict[str, DeviceArrayBase]:
+    def device_arrays(self) -> Dict[str, DeviceArray]:
         """The compiled network's live device arrays, keyed by layer."""
         return getattr(self.hardware, "device_arrays", {})
 
@@ -219,9 +219,17 @@ class InferenceSession:
 
         This is the path the :class:`MicroBatcher` drives; it is also
         what :meth:`infer` uses, so one-at-a-time and coalesced requests
-        run byte-for-byte the same compute.
+        run byte-for-byte the same compute.  An empty or mis-shaped batch
+        raises :class:`ShapeError` before any state (device clocks,
+        counters) moves.
         """
         images = np.asarray(images)
+        expected = self.hardware.network.input_shape
+        if not images.ndim or not len(images) or images.shape[1:] != expected:
+            raise ShapeError(
+                f"infer_batch needs a non-empty batch of shape "
+                f"(n, {', '.join(map(str, expected))}), got {images.shape}"
+            )
         tile = self.config.tile
         n = len(images)
         outputs = []

@@ -196,7 +196,7 @@ def temporal_aging_sweep(
 
     The temporal sibling of :func:`repro.analysis.robustness.
     sei_variation_sweep`: hidden layers run on aging
-    :class:`~repro.hw.array.TemporalSimDeviceArray` cells, a burn-in
+    :class:`~repro.hw.array.DeviceArray` cells, a burn-in
     pass accrues the read history, the device clock advances by
     ``age`` time units, and the *aged* hardware is scored.  Returns the
     degradation curve plus the snapshot digest of the worst-level
@@ -371,7 +371,7 @@ class CampaignResult:
     curves: Dict[str, NoiseSweepResult]
     #: Exact-software test error on the campaign's labelled set.
     baseline_error: float
-    #: Expected stuck-cell density at each stuck sweep's worst level
+    #: Expected stuck-cell density at the stuck sweeps' worst levels
     #: (sanity anchor from :func:`repro.hw.tuning.stuck_cell_map`).
     expected_stuck_fraction: float = 0.0
     #: Device-array snapshot digest per aging sweep (worst level) —
@@ -475,18 +475,11 @@ def run_campaign(
                     snapshot_digests[kind] = digest
                 elif kind == "estimator":
                     curve = estimator_confidence_sweep(case, levels=levels)
-                elif kind in ("program", "read"):
+                elif kind in _DEVICE_FIELDS:
                     curve = sei_variation_sweep(
                         built.network, built.thresholds,
                         built.inputs, labels,
                         sigmas=levels, trials=config.trials, kind=kind,
-                        device_bits=case.device_bits, seed=config.seed,
-                    )
-                elif kind in ("stuck_low", "stuck_high"):
-                    curve = sei_variation_sweep(
-                        built.network, built.thresholds,
-                        built.inputs, labels,
-                        sigmas=levels, trials=config.trials, kind="stuck",
                         device_bits=case.device_bits, seed=config.seed,
                     )
                 elif kind == "sa_noise":
@@ -511,14 +504,15 @@ def run_campaign(
             obs.count("conformance/sweeps")
 
     expected_stuck = 0.0
-    stuck_levels = config.sweeps.get("stuck_low") or config.sweeps.get(
-        "stuck_high"
-    )
-    if stuck_levels:
+    stuck_rates = {
+        _DEVICE_FIELDS[kind]: max(config.sweeps[kind])
+        for kind in ("stuck_low", "stuck_high")
+        if config.sweeps.get(kind)
+    }
+    if stuck_rates:
         from repro.hw.device import RRAMDevice
 
-        worst = max(stuck_levels)
-        device = RRAMDevice(bits=case.device_bits, stuck_low_rate=worst)
+        device = RRAMDevice(bits=case.device_bits, **stuck_rates)
         mask = stuck_cell_map(
             device, (64, 64), np.random.default_rng(config.seed)
         )

@@ -374,6 +374,32 @@ class TestCampaignAssertions:
         with pytest.raises(ConfigurationError):
             CampaignConfig(sweeps={"cosmic": (0.0, 1.0)})
 
+    def test_stuck_high_sweep_injects_stuck_high_cells(self, monkeypatch):
+        """A ``stuck_high`` curve must program stuck-at-g_max cells, and
+        its sanity anchor must count them."""
+        from repro.analysis import robustness
+        from repro.hw.device import RRAMDevice
+        from repro.hw.tuning import stuck_cell_map
+        from repro.testing.faults import run_campaign
+
+        devices = []
+
+        def recording_device(**kwargs):
+            device = RRAMDevice(**kwargs)
+            devices.append(device)
+            return device
+
+        monkeypatch.setattr(robustness, "RRAMDevice", recording_device)
+        config = CampaignConfig(sweeps={"stuck_high": (0.0, 0.05)}, trials=1)
+        result = run_campaign(SMALL, config)
+        assert [d.stuck_high_rate for d in devices] == [0.0, 0.05]
+        assert all(d.stuck_low_rate == 0.0 for d in devices)
+        anchor = RRAMDevice(bits=SMALL.device_bits, stuck_high_rate=0.05)
+        mask = stuck_cell_map(
+            anchor, (64, 64), np.random.default_rng(config.seed)
+        )
+        assert result.expected_stuck_fraction == float(mask[1].mean())
+
 
 class TestRunConformance:
     def test_explicit_case_report(self, tmp_path):

@@ -2,7 +2,7 @@
 
 The load-bearing properties:
 
-* **Bit identity** — a :class:`SimDeviceArray` programs and reads
+* **Bit identity** — a static :class:`DeviceArray` programs and reads
   through exactly the RNG stream the legacy direct ``RRAMDevice`` calls
   consumed, so every engine compiled through the array interface is
   byte-for-byte the pre-refactor engine.
@@ -20,13 +20,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hw.array import (
-    DeviceSpec,
-    SimDeviceArray,
-    TemporalConfig,
-    TemporalSimDeviceArray,
-    make_array,
-)
+from repro.hw.array import DeviceArray, DeviceSpec, TemporalConfig
 from repro.hw.device import RRAMDevice
 from repro.hw.retune import (
     RetunePolicy,
@@ -38,11 +32,11 @@ from repro.hw.retune import (
 DRIFTY = TemporalConfig(drift_nu=0.1, drift_nu_sigma=0.5, seed=7)
 
 
-class TestSimDeviceArray:
+class TestStaticDeviceArray:
     def test_2d_program_matches_direct_device_call(self, rng):
         device = RRAMDevice(bits=4, program_sigma=0.2)
         targets = rng.random((12, 9))
-        array = make_array(device)
+        array = DeviceArray(device)
         array.program(targets, np.random.default_rng(5))
         expected = device.program(targets, np.random.default_rng(5))
         np.testing.assert_array_equal(array.conductance, expected)
@@ -52,7 +46,7 @@ class TestSimDeviceArray:
         leading plane — the stream the legacy SEI loop consumed."""
         device = RRAMDevice(bits=4, program_sigma=0.2)
         targets = rng.random((4, 6, 5))
-        array = make_array(device)
+        array = DeviceArray(device)
         array.program(targets, np.random.default_rng(5))
         legacy = np.random.default_rng(5)
         expected = np.stack(
@@ -62,7 +56,7 @@ class TestSimDeviceArray:
 
     def test_read_matches_direct_device_read(self, rng):
         device = RRAMDevice(bits=4, read_sigma=0.05)
-        array = make_array(device)
+        array = DeviceArray(device)
         array.program(rng.random((8, 8)), np.random.default_rng(1))
         got = array.read(np.random.default_rng(2))
         expected = device.read(array.conductance, np.random.default_rng(2))
@@ -73,7 +67,7 @@ class TestSimDeviceArray:
         conductance — NOT the raw programmed values (they differ in the
         last ulp under programming noise)."""
         device = RRAMDevice(bits=4, program_sigma=0.3, read_sigma=0.05)
-        array = make_array(device)
+        array = DeviceArray(device)
         array.program(rng.random((8, 8)), np.random.default_rng(1))
         span = device.g_max - device.g_min
         base = device.g_min + array.normalized * span
@@ -84,7 +78,7 @@ class TestSimDeviceArray:
         np.testing.assert_array_equal(got, expected)
 
     def test_targets_recorded_and_generation_bumps(self, rng):
-        array = make_array(RRAMDevice())
+        array = DeviceArray(RRAMDevice())
         assert array.targets is None
         g0 = array.generation
         targets = rng.random((4, 4))
@@ -93,7 +87,7 @@ class TestSimDeviceArray:
         assert array.generation > g0
 
     def test_static_array_never_ages(self, rng):
-        array = make_array(RRAMDevice())
+        array = DeviceArray(RRAMDevice())
         array.program(rng.random((4, 4)), rng)
         before = array.conductance.copy()
         gen = array.generation
@@ -105,39 +99,44 @@ class TestSimDeviceArray:
         assert not array.temporal
 
     def test_unprogrammed_read_raises(self):
-        array = make_array(RRAMDevice())
+        array = DeviceArray(RRAMDevice())
         with pytest.raises(ConfigurationError, match="not been programmed"):
             array.read()
 
 
 class TestTemporalTrajectories:
     def test_inert_config_is_static_and_identical(self, rng):
-        """All-off temporal config must give the static backend and the
+        """All-off temporal config must give a static array and the
         static bits — the acceptance gate for 'temporal disabled ==
         seed behaviour'."""
-        inert = make_array(RRAMDevice(), temporal=TemporalConfig())
-        static = make_array(RRAMDevice())
-        assert isinstance(inert, SimDeviceArray)
-        assert not isinstance(inert, TemporalSimDeviceArray)
+        inert = DeviceArray(RRAMDevice(), temporal=TemporalConfig())
+        static = DeviceArray(RRAMDevice())
+        assert inert.config is None
+        assert not inert.temporal
         targets = rng.random((6, 6))
         inert.program(targets, np.random.default_rng(3))
         static.program(targets, np.random.default_rng(3))
         np.testing.assert_array_equal(inert.conductance, static.conductance)
+        for array in (inert, static):
+            array.note_reads(500)
+            array.advance(64.0)
+        assert inert.generation == static.generation
+        assert inert.snapshot().digest() == static.snapshot().digest()
 
     def test_fresh_temporal_array_matches_static_bit_for_bit(self, rng):
-        temporal = make_array(RRAMDevice(program_sigma=0.2), temporal=DRIFTY)
-        static = make_array(RRAMDevice(program_sigma=0.2))
+        temporal = DeviceArray(RRAMDevice(program_sigma=0.2), temporal=DRIFTY)
+        static = DeviceArray(RRAMDevice(program_sigma=0.2))
         targets = rng.random((4, 6, 5))
         temporal.program(targets, np.random.default_rng(3))
         static.program(targets, np.random.default_rng(3))
-        assert isinstance(temporal, TemporalSimDeviceArray)
+        assert temporal.temporal and temporal.config == DRIFTY
         np.testing.assert_array_equal(
             temporal.conductance, static.conductance
         )
         np.testing.assert_array_equal(temporal.normalized, static.normalized)
 
     def test_drift_is_monotone_in_age(self, rng):
-        array = make_array(RRAMDevice(), temporal=DRIFTY)
+        array = DeviceArray(RRAMDevice(), temporal=DRIFTY)
         array.program(rng.random((16, 16)), rng)
         drifts = []
         for _ in range(4):
@@ -148,7 +147,7 @@ class TestTemporalTrajectories:
 
     def test_retention_and_read_disturb_decay_toward_g_min(self, rng):
         device = RRAMDevice()
-        retention = make_array(
+        retention = DeviceArray(
             device, temporal=TemporalConfig(retention_tau=50.0)
         )
         retention.program(rng.random((8, 8)) * 0.5 + 0.25, rng)
@@ -157,7 +156,7 @@ class TestTemporalTrajectories:
         assert np.all(retention.conductance <= fresh)
         assert retention.conductance.min() >= device.g_min
 
-        disturb = make_array(
+        disturb = DeviceArray(
             device, temporal=TemporalConfig(read_disturb_rate=1e-3)
         )
         disturb.program(rng.random((8, 8)) * 0.5 + 0.25, rng)
@@ -169,7 +168,7 @@ class TestTemporalTrajectories:
         targets = rng.random((10, 10))
         states = []
         for _ in range(2):
-            array = make_array(RRAMDevice(program_sigma=0.2), temporal=DRIFTY)
+            array = DeviceArray(RRAMDevice(program_sigma=0.2), temporal=DRIFTY)
             array.program(targets, np.random.default_rng(9))
             array.note_reads(64)
             array.advance(77.0)
@@ -180,7 +179,7 @@ class TestTemporalTrajectories:
         """Each program epoch gets its own per-cell exponent draw —
         aging after a re-program must not replay the first epoch."""
         targets = rng.random((12, 12))
-        array = make_array(RRAMDevice(), temporal=DRIFTY)
+        array = DeviceArray(RRAMDevice(), temporal=DRIFTY)
         array.program(targets, np.random.default_rng(1))
         array.advance(64.0)
         first_epoch = array.conductance.copy()
@@ -191,7 +190,7 @@ class TestTemporalTrajectories:
 
 class TestSnapshotRestore:
     def _aged_array(self, rng, age=40.0, reads=32):
-        array = make_array(
+        array = DeviceArray(
             RRAMDevice(program_sigma=0.1),
             temporal=TemporalConfig(
                 drift_nu=0.08,
@@ -213,7 +212,7 @@ class TestSnapshotRestore:
         array.note_reads(100)
         future = array.conductance.copy()
 
-        clone = make_array(array.device, temporal=array.config)
+        clone = DeviceArray(array.device, temporal=array.config)
         clone.restore(snap)
         np.testing.assert_array_equal(clone.targets, array.targets)
         clone.advance(60.0)
@@ -235,7 +234,7 @@ class TestSnapshotRestore:
         targets = rng.random((6, 6))
         digests = set()
         for nu in (0.02, 0.05, 0.1):
-            array = make_array(
+            array = DeviceArray(
                 RRAMDevice(), temporal=TemporalConfig(drift_nu=nu, seed=1)
             )
             array.program(targets, np.random.default_rng(4))
@@ -253,7 +252,7 @@ class TestSnapshotRestore:
 
 class TestHealth:
     def test_fresh_array_reports_zero(self, rng):
-        array = make_array(RRAMDevice(), temporal=DRIFTY)
+        array = DeviceArray(RRAMDevice(), temporal=DRIFTY)
         array.program(rng.random((5, 5)), rng)
         health = array.health()
         assert health.drift_level_steps == 0.0
@@ -264,7 +263,7 @@ class TestHealth:
 
     def test_drift_measured_in_level_steps(self, rng):
         device = RRAMDevice(bits=4)
-        array = make_array(
+        array = DeviceArray(
             device, temporal=TemporalConfig(retention_tau=100.0)
         )
         array.program(np.full((4, 4), 1.0), rng)
@@ -284,9 +283,11 @@ class TestDeviceSpec:
         assert device.read_sigma == 0.02
 
     def test_make_array_backend_selection(self):
-        assert isinstance(DeviceSpec().make_array(), SimDeviceArray)
+        static = DeviceSpec().make_array()
+        assert static.config is None and not static.temporal
         aged = DeviceSpec(temporal=TemporalConfig(drift_nu=0.05))
-        assert isinstance(aged.make_array(), TemporalSimDeviceArray)
+        assert aged.make_array().temporal
+        assert aged.make_array().config == aged.temporal
 
     def test_make_array_accepts_int_seed(self, rng):
         targets = rng.random((4, 4))
@@ -300,7 +301,7 @@ class TestDeviceSpec:
 
 class TestRetune:
     def _drifted(self, rng, age=200.0):
-        array = make_array(
+        array = DeviceArray(
             RRAMDevice(), temporal=TemporalConfig(drift_nu=0.1, seed=3)
         )
         array.program(rng.random((10, 8)), np.random.default_rng(6))
@@ -327,7 +328,7 @@ class TestRetune:
         ideal level conductances, so a retune reproduces the fresh
         state bit-for-bit."""
         array = self._drifted(rng)
-        fresh = make_array(RRAMDevice())
+        fresh = DeviceArray(RRAMDevice())
         fresh.program(array.targets, np.random.default_rng(6))
         event = retune_array(array, RetunePolicy(), name="l0")
         np.testing.assert_array_equal(array.conductance, fresh.conductance)
@@ -348,13 +349,13 @@ class TestRetune:
         assert array.health().age == 0.0
 
     def test_unprogrammed_array_rejected(self):
-        array = make_array(RRAMDevice(), temporal=DRIFTY)
+        array = DeviceArray(RRAMDevice(), temporal=DRIFTY)
         with pytest.raises(ConfigurationError, match="no recorded targets"):
             retune_array(array, RetunePolicy())
 
     def test_check_and_retune_only_fires_past_threshold(self, rng):
         drifted = self._drifted(rng)
-        calm = make_array(RRAMDevice(), temporal=DRIFTY)
+        calm = DeviceArray(RRAMDevice(), temporal=DRIFTY)
         calm.program(rng.random((4, 4)), rng)
         report = check_and_retune(
             {"hot": drifted, "cold": calm}, RetunePolicy()

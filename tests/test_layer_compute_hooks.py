@@ -26,7 +26,7 @@ from repro.core import (
 from repro.core.homogenize import Partition
 from repro.core.matrix_compute import layer_compute
 from repro.hw import RRAMDevice
-from repro.hw.array import make_array
+from repro.hw.array import DeviceArray
 from repro.hw.peripherals import ADC, DAC
 from repro.nn import functional as F
 from repro.nn.layers import Conv2D, Dense
@@ -99,7 +99,7 @@ def _old_adc(layer, device, calibration):
     matrix = layer.weight_matrix
     rng = np.random.default_rng(SEED)
     slices, coefficients, scale = decompose_weights(matrix, 8, device.bits)
-    array = make_array(device, rng=rng)
+    array = DeviceArray(device, rng=rng)
     array.program(slices, rng)
     programmed = array.normalized
     dac, adc = DAC(bits=8), ADC(bits=8)

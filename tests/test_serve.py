@@ -22,7 +22,12 @@ from repro.core.engines import (
     resolve_engine,
 )
 from repro.core.hardware_network import HardwareConfig, assemble_sei_network
-from repro.errors import BackpressureError, ConfigurationError, ServeError
+from repro.errors import (
+    BackpressureError,
+    ConfigurationError,
+    ServeError,
+    ShapeError,
+)
 from repro.serve import (
     BatcherConfig,
     BatcherStats,
@@ -578,6 +583,49 @@ class TestTemporalSession:
         assert all(
             h.drift_level_steps < 0.25
             for h in session.health().values()
+        )
+
+    def test_empty_batch_rejected_before_any_state_moves(
+        self, tiny_quantized
+    ):
+        from repro import obs
+
+        session = InferenceSession.from_artifacts(
+            tiny_quantized.network,
+            tiny_quantized.thresholds,
+            self._temporal_config(age_per_batch=1.0),
+        )
+        shape = tiny_quantized.network.input_shape
+        before = {
+            name: (array.age, array.generation)
+            for name, array in session.device_arrays.items()
+        }
+        with obs.recording() as rec:
+            with pytest.raises(ShapeError, match=r"got \(0, "):
+                session.infer_batch(np.zeros((0,) + shape))
+        assert "serve/samples" not in rec.metrics.as_dict()["counters"]
+        assert before == {
+            name: (array.age, array.generation)
+            for name, array in session.device_arrays.items()
+        }
+
+    def test_misshaped_batch_names_the_callers_shape(
+        self, tiny_quantized
+    ):
+        session = InferenceSession.from_artifacts(
+            tiny_quantized.network,
+            tiny_quantized.thresholds,
+            self._temporal_config(age_per_batch=1.0),
+        )
+        shape = tiny_quantized.network.input_shape
+        wrong = (2,) + shape[1:]
+        with pytest.raises(ShapeError) as info:
+            session.infer_batch(np.zeros(wrong))
+        message = str(info.value)
+        assert str(wrong) in message
+        assert ", ".join(map(str, shape)) in message
+        assert all(
+            array.age == 0.0 for array in session.device_arrays.values()
         )
 
     def test_static_session_self_check_unchanged(

@@ -27,16 +27,25 @@ for small matrices, and two stochastic optimisers — either reproduces the
   whole partition.  The result is bit-identical to a full re-score;
 * a small genetic algorithm with swap mutations (full re-score per
   child; it is not on the compile path).
+
+Both are deterministic in (matrix, K, method, iterations, population,
+seed), so :func:`homogenize` memoizes its partitions per process: every
+compile of the same model reuses the first compile's search.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ConfigurationError, ShapeError
 
 __all__ = [
@@ -136,12 +145,19 @@ def block_mean_distance(matrix: np.ndarray, partition: Partition) -> float:
 
 
 def _block_mean(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Column mean of one block, over its rows in their current order."""
-    return matrix[rows].mean(axis=0)
+    """Column mean of one block, over its rows in their current order.
+
+    ``np.mean``'s own sum-then-divide without its per-call overhead, so
+    it equals ``matrix[rows].mean(axis=0)`` bit for bit.
+    """
+    return np.add.reduce(matrix[rows], axis=0) / len(rows)
 
 
 def _pair_norm(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b))
+    """``np.linalg.norm(a - b)`` bit for bit: its 1-D path is
+    ``sqrt(x.dot(x))``."""
+    d = a - b
+    return math.sqrt(d.dot(d))
 
 
 def _pair_norms(means: np.ndarray) -> np.ndarray:
@@ -230,6 +246,10 @@ def homogenize(
         selection.
     iterations:
         Swap attempts (hillclimb) or generations (genetic).
+
+    The search is deterministic, so a seeded call is memoized in-process
+    (an LRU keyed on a digest of the matrix and every other argument);
+    each call returns its own copy of the partition.
     """
     if iterations < 0:
         raise ConfigurationError(
@@ -243,14 +263,58 @@ def homogenize(
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ShapeError(f"matrix must be 2D, got shape {matrix.shape}")
+    if method not in ("hillclimb", "genetic"):
+        raise ConfigurationError(
+            f"method must be 'hillclimb' or 'genetic', got {method!r}"
+        )
+
+    # An unseeded search is not deterministic, so it is never memoized.
+    if not isinstance(seed, (int, np.integer)):
+        return _search(matrix, num_blocks, method, iterations, population, seed)
+    key = (
+        hashlib.blake2b(matrix.tobytes(), digest_size=16).digest(),
+        matrix.shape, num_blocks, method, iterations, population, seed,
+    )
+    with _MEMO_LOCK:
+        order = _MEMO.get(key)
+        if order is not None:
+            _MEMO.move_to_end(key)
+    if order is not None:
+        obs.count("compile/homogenize/hits")
+        # Partition copies ``order``, so no caller can reach the entry.
+        return Partition(order, num_blocks)
+    obs.count("compile/homogenize/misses")
+    partition = _search(matrix, num_blocks, method, iterations, population, seed)
+    # A racing thread may have stored this key meanwhile; the search is
+    # deterministic, so both entries hold the same order.
+    with _MEMO_LOCK:
+        _MEMO[key] = partition.order.copy()
+        _MEMO.move_to_end(key)
+        while len(_MEMO) > _MEMO_SIZE:
+            _MEMO.popitem(last=False)
+    return partition
+
+
+# Partitions by (matrix digest, shape, K, method, iterations, population,
+# seed), least recently used first.  A network has a few split layers,
+# so 32 entries cover several models' worth of repeated compiles.
+_MEMO_SIZE = 32
+_MEMO: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+_MEMO_LOCK = threading.Lock()
+
+
+def _search(
+    matrix: np.ndarray,
+    num_blocks: int,
+    method: str,
+    iterations: int,
+    population: int,
+    seed,
+) -> Partition:
     rng = np.random.default_rng(seed)
     if method == "hillclimb":
         return _hillclimb(matrix, num_blocks, iterations, rng)
-    if method == "genetic":
-        return _genetic(matrix, num_blocks, iterations, population, rng)
-    raise ConfigurationError(
-        f"method must be 'hillclimb' or 'genetic', got {method!r}"
-    )
+    return _genetic(matrix, num_blocks, iterations, population, rng)
 
 
 def _hillclimb(

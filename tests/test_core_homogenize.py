@@ -1,10 +1,16 @@
 """Tests for repro.core.homogenize (Equ. 10 and its optimisers)."""
 
+import importlib
+import json
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro import obs
 from repro.configs import build_network
 from repro.core import (
     Partition,
@@ -14,11 +20,33 @@ from repro.core import (
     natural_partition,
     random_partition,
 )
+from repro.core.engines import EngineSpec, compile_network
+from repro.core.homogenize import _block_mean, _pair_norm
 from repro.core.matrix_compute import layer_weight_matrix
 from repro.core.splitting import required_blocks
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn import Conv2D, Dense
 from repro.zoo import quantized_cache_paths
+
+# The module, not the function that ``repro.core`` re-exports under its name.
+homogenize_module = importlib.import_module("repro.core.homogenize")
+
+
+@pytest.fixture(autouse=True)
+def uncached(monkeypatch):
+    """Empty the partition memo and hold it empty, so every homogenize()
+    call in this module runs the search itself (the memo tests below
+    re-enable it through the ``memo`` fixture)."""
+    homogenize_module._MEMO.clear()
+    monkeypatch.setattr(homogenize_module, "_MEMO_SIZE", 0)
+    yield
+    homogenize_module._MEMO.clear()
+
+
+@pytest.fixture
+def memo(uncached, monkeypatch):
+    """A cold memo of the production size."""
+    monkeypatch.setattr(homogenize_module, "_MEMO_SIZE", 32)
 
 
 class TestPartition:
@@ -250,3 +278,209 @@ def test_homogenize_never_worse_than_natural_property(rows, blocks, seed):
     natural = block_mean_distance(matrix, natural_partition(rows, blocks))
     optimised = homogenize(matrix, blocks, iterations=300, seed=seed)
     assert block_mean_distance(matrix, optimised) <= natural + 1e-12
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False, width=64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pair=st.integers(1, 40).flatmap(
+        lambda n: st.tuples(
+            hnp.arrays(np.float64, n, elements=_finite),
+            hnp.arrays(np.float64, n, elements=_finite),
+        )
+    )
+)
+def test_pair_norm_is_numpy_norm_bit_for_bit(pair):
+    """The climber's helpers are the pin tests' own scoring, so only this
+    test can see a helper drift from NumPy's ``norm``."""
+    a, b = pair
+    assert _pair_norm(a, b).hex() == float(np.linalg.norm(a - b)).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    matrix=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 30), st.integers(1, 9)),
+        elements=_finite,
+    ),
+    data=st.data(),
+)
+def test_block_mean_is_numpy_mean_bit_for_bit(matrix, data):
+    """Any block of rows, 1-row blocks and repeated rows included."""
+    rows = np.asarray(
+        data.draw(
+            st.lists(
+                st.integers(0, matrix.shape[0] - 1),
+                min_size=1,
+                max_size=matrix.shape[0],
+            )
+        ),
+        dtype=np.int64,
+    )
+    expected = matrix[rows].mean(axis=0)
+    got = _block_mean(matrix, rows)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def _counters(rec):
+    counters = rec.metrics.as_dict()["counters"]
+    return (
+        counters.get("compile/homogenize/hits", 0),
+        counters.get("compile/homogenize/misses", 0),
+    )
+
+
+@pytest.mark.usefixtures("memo")
+class TestPartitionMemo:
+    """homogenize() memoizes seeded searches per process."""
+
+    ARGS = dict(method="hillclimb", iterations=300, population=24, seed=3)
+
+    def test_hit_equals_the_uncached_search_and_is_a_copy(self, rng):
+        matrix = rng.normal(size=(40, 5))
+        cold = homogenize_module._search(matrix, 4, **self.ARGS)
+        with obs.recording() as rec:
+            first = homogenize(matrix, 4, **self.ARGS)
+            first.order[:] = 0
+            second = homogenize(matrix, 4, **self.ARGS)
+            second.order[:2] = second.order[1::-1]
+            third = homogenize(matrix, 4, **self.ARGS)
+        assert _counters(rec) == (2, 1)
+        np.testing.assert_array_equal(third.order, cold.order)
+        assert third.num_blocks == 4
+        assert third.order is not second.order
+
+    def test_genetic_is_memoized_too(self, rng):
+        matrix = rng.normal(size=(12, 3))
+        args = dict(method="genetic", iterations=20, population=6, seed=1)
+        cold = homogenize_module._search(matrix, 3, **args)
+        with obs.recording() as rec:
+            homogenize(matrix, 3, **args)
+            hit = homogenize(matrix, 3, **args)
+        assert _counters(rec) == (1, 1)
+        np.testing.assert_array_equal(hit.order, cold.order)
+
+    @pytest.mark.parametrize(
+        "change",
+        ["element", "shape", "num_blocks", "method", "iterations",
+         "population", "seed"],
+    )
+    def test_any_changed_input_misses(self, rng, change):
+        matrix = rng.normal(size=(24, 6))
+        args = dict(self.ARGS, num_blocks=4)
+        homogenize(matrix, **args)
+        if change == "element":
+            matrix = matrix.copy()
+            matrix[5, 2] = np.nextafter(matrix[5, 2], np.inf)
+        elif change == "shape":
+            # Same bytes, other shape: only the shape tells them apart.
+            matrix = matrix.reshape(48, 3)
+        elif change == "method":
+            args.update(method="genetic", iterations=5)
+            homogenize(matrix, **dict(args, method="hillclimb"))
+        elif change == "num_blocks":
+            args["num_blocks"] = 3
+        elif change == "iterations":
+            args["iterations"] += 1
+        elif change == "population":
+            args["population"] += 1
+        elif change == "seed":
+            args["seed"] += 1
+        with obs.recording() as rec:
+            got = homogenize(matrix, **args)
+        assert _counters(rec) == (0, 1)
+        search_args = {k: v for k, v in args.items() if k != "num_blocks"}
+        np.testing.assert_array_equal(
+            got.order,
+            homogenize_module._search(
+                matrix, args["num_blocks"], **search_args
+            ).order,
+        )
+
+    def test_unseeded_search_is_not_memoized(self, rng):
+        matrix = rng.normal(size=(10, 2))
+        with obs.recording() as rec:
+            homogenize(matrix, 2, iterations=10, seed=None)
+            homogenize(matrix, 2, iterations=10, seed=None)
+        assert _counters(rec) == (0, 0)
+        assert len(homogenize_module._MEMO) == 0
+
+    def test_invalid_arguments_raise_on_a_warm_memo(self, rng):
+        matrix = rng.normal(size=(12, 3))
+        homogenize(matrix, 3, **self.ARGS)
+        bad = [
+            (ConfigurationError, dict(self.ARGS, iterations=-1)),
+            (ConfigurationError, dict(self.ARGS, method="anneal")),
+            (
+                ConfigurationError,
+                dict(self.ARGS, method="genetic", population=1),
+            ),
+        ]
+        for error, args in bad:
+            with pytest.raises(error):
+                homogenize(matrix, 3, **args)
+        with pytest.raises(ShapeError):
+            homogenize(matrix.ravel(), 3, **self.ARGS)
+        for blocks in (0, 13):
+            with pytest.raises(ConfigurationError):
+                homogenize(matrix, blocks, **self.ARGS)
+            with pytest.raises(ConfigurationError):
+                homogenize(matrix, blocks, **self.ARGS)
+        assert len(homogenize_module._MEMO) == 1
+
+    def test_concurrent_callers_get_the_same_partition(self, rng):
+        matrix = rng.normal(size=(60, 4))
+        cold = homogenize_module._search(matrix, 3, **self.ARGS)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            orders = list(
+                pool.map(
+                    lambda _: homogenize(matrix, 3, **self.ARGS).order,
+                    range(8),
+                )
+            )
+        for order in orders:
+            np.testing.assert_array_equal(order, cold.order)
+        assert len({id(order) for order in orders}) == len(orders)
+        assert len(homogenize_module._MEMO) == 1
+
+    def test_least_recently_used_entry_is_evicted(self, rng, monkeypatch):
+        monkeypatch.setattr(homogenize_module, "_MEMO_SIZE", 2)
+        matrices = [rng.normal(size=(8, 2)) for _ in range(3)]
+        homogenize(matrices[0], 2, iterations=5)
+        homogenize(matrices[1], 2, iterations=5)
+        homogenize(matrices[0], 2, iterations=5)  # now most recent
+        homogenize(matrices[2], 2, iterations=5)  # evicts matrices[1]
+        with obs.recording() as rec:
+            homogenize(matrices[0], 2, iterations=5)
+            homogenize(matrices[1], 2, iterations=5)
+        assert _counters(rec) == (1, 1)
+
+    def test_recompiling_network1_searches_once_per_split_layer(self):
+        network = build_network("network1")
+        weights, sidecar = quantized_cache_paths("network1")
+        network.load(weights)
+        thresholds = {
+            int(k): v
+            for k, v in json.loads(sidecar.read_text())["thresholds"].items()
+        }
+        with obs.recording() as rec:
+            fused = compile_network(network, thresholds, EngineSpec("fused"))
+            reference = compile_network(
+                network, thresholds, EngineSpec("reference")
+            )
+        def partitions(compiled):
+            return {
+                index: (record.get("partition") or record["matrix"].partition)
+                for index, record in compiled.hardware_layers.items()
+                if record["kind"] in ("split", "analog_merge")
+            }
+
+        split = partitions(fused)
+        assert sorted(split) == [3, 7]
+        assert _counters(rec) == (2, 2)
+        for index, partition in partitions(reference).items():
+            np.testing.assert_array_equal(partition.order, split[index].order)

@@ -20,18 +20,20 @@ for the default fused engine) for the backend selection; a plain
 engine-name string is rejected (see
 :func:`repro.core.engines.resolve_engine`).
 
-The device side is declarative too: pass a
-:class:`~repro.hw.array.DeviceSpec` via ``device=`` to compile/infer/
-serve and the facade threads it into the engine's hardware config —
-non-idealities and (optionally) :class:`~repro.hw.array.TemporalConfig`
-aging, with a :class:`~repro.hw.retune.RetunePolicy` closing the online
-re-tuning loop::
+The cells are described in one place, the engine's
+:class:`~repro.core.hardware_network.HardwareConfig`: its
+:class:`~repro.hw.device.RRAMDevice` non-idealities and (optionally)
+:class:`~repro.hw.array.TemporalConfig` aging, with a
+:class:`~repro.hw.retune.RetunePolicy` closing the online re-tuning
+loop::
 
     session = api.compile(
         "network2",
-        device=api.DeviceSpec(
-            program_sigma=0.02,
-            temporal=api.TemporalConfig(drift_nu=0.05),
+        engine=api.EngineSpec(
+            hardware=api.HardwareConfig(
+                device=api.RRAMDevice(program_sigma=0.02),
+                temporal=api.TemporalConfig(drift_nu=0.05),
+            ),
         ),
         retune=api.RetunePolicy(check_every=8),
     )
@@ -54,7 +56,8 @@ from repro.core.threshold_search import (
     search_thresholds,
 )
 from repro.errors import ConfigurationError
-from repro.hw.array import DeviceArray, DeviceSpec, TemporalConfig
+from repro.hw.array import DeviceArray, TemporalConfig
+from repro.hw.device import RRAMDevice
 from repro.hw.retune import RetunePolicy
 from repro.nn.network import Sequential
 from repro.serve.batcher import BatcherConfig, MicroBatcher
@@ -75,7 +78,8 @@ __all__ = [
     "BatcherConfig",
     "InferenceSession",
     "MicroBatcher",
-    "DeviceSpec",
+    "HardwareConfig",
+    "RRAMDevice",
     "TemporalConfig",
     "RetunePolicy",
     "DeviceArray",
@@ -114,31 +118,6 @@ def quantize(
     return search_thresholds(network, images, labels, config)
 
 
-def _apply_device(
-    spec: EngineSpec, device: Optional[DeviceSpec]
-) -> EngineSpec:
-    """Thread a :class:`DeviceSpec` into an engine's hardware config."""
-    if device is None:
-        return spec
-    default = HardwareConfig()
-    if (
-        spec.hardware.device != default.device
-        or spec.hardware.temporal is not None
-    ):
-        raise ConfigurationError(
-            "pass either device= or an EngineSpec with explicit hardware, "
-            "not both — the DeviceSpec would silently override the "
-            "engine's device settings"
-        )
-    temporal = device.temporal if device.temporal.enabled else None
-    return replace(
-        spec,
-        hardware=replace(
-            spec.hardware, device=device.device(), temporal=temporal
-        ),
-    )
-
-
 def _session_config(
     network: str,
     engine: Optional[EngineSpec],
@@ -146,14 +125,12 @@ def _session_config(
     calibrate_splits: bool,
     search: Optional[SearchConfig],
     cache_dir: Optional[Path],
-    device: Optional[DeviceSpec] = None,
     retune: Optional[RetunePolicy] = None,
     age_per_batch: float = 1.0,
 ) -> SessionConfig:
-    spec = _apply_device(resolve_engine(engine, caller="repro.api"), device)
     return SessionConfig(
         network=network,
-        engine=spec,
+        engine=resolve_engine(engine, caller="repro.api"),
         tile=tile,
         calibrate_splits=calibrate_splits,
         search=search,
@@ -174,7 +151,6 @@ def compile(  # noqa: A001 - deliberate verb name on the facade
     cache_dir: Optional[Path] = None,
     dataset=None,
     reuse: bool = True,
-    device: Optional[DeviceSpec] = None,
     retune: Optional[RetunePolicy] = None,
     age_per_batch: float = 1.0,
 ) -> InferenceSession:
@@ -189,11 +165,10 @@ def compile(  # noqa: A001 - deliberate verb name on the facade
       bypassing the zoo (``calibrate_splits``/``dataset``/``reuse`` do
       not apply).
 
-    ``device`` declares the RRAM cells (non-idealities + optional
-    aging) without hand-building an EngineSpec; it is rejected when the
-    EngineSpec already carries non-default hardware.  ``retune`` arms
-    the session's online re-tuning loop and ``age_per_batch`` sets its
-    device clock (both only meaningful over aging hardware).
+    The cells (non-idealities and optional aging) are the
+    ``engine``'s :class:`HardwareConfig`.  ``retune`` arms the session's
+    online re-tuning loop and ``age_per_batch`` sets its device clock
+    (both only meaningful over aging hardware).
     """
     if isinstance(network, str):
         if thresholds is not None:
@@ -208,7 +183,6 @@ def compile(  # noqa: A001 - deliberate verb name on the facade
             calibrate_splits,
             search,
             cache_dir,
-            device=device,
             retune=retune,
             age_per_batch=age_per_batch,
         )
@@ -224,13 +198,12 @@ def compile(  # noqa: A001 - deliberate verb name on the facade
             "network name) — explicit-artifact sessions take "
             "decisions/partitions via InferenceSession.from_artifacts"
         )
-    spec = _apply_device(resolve_engine(engine, caller="repro.api"), device)
     return InferenceSession.from_artifacts(
         network,
         thresholds,
         SessionConfig(
             network="<custom>",
-            engine=spec,
+            engine=resolve_engine(engine, caller="repro.api"),
             tile=tile,
             retune=retune,
             age_per_batch=age_per_batch,
@@ -245,17 +218,13 @@ def infer(
     engine: Optional[EngineSpec] = None,
     tile: int = 16,
     cache_dir: Optional[Path] = None,
-    device: Optional[DeviceSpec] = None,
 ) -> np.ndarray:
     """Logits for one sample or a batch on a named zoo model.
 
     Compiles (or reuses) the matching warm session under the hood;
     repeated calls with the same configuration pay no setup cost.
     """
-    session = compile(
-        network, engine=engine, tile=tile, cache_dir=cache_dir,
-        device=device,
-    )
+    session = compile(network, engine=engine, tile=tile, cache_dir=cache_dir)
     return session.infer(x)
 
 
@@ -265,7 +234,6 @@ def serve(
     engine: Optional[EngineSpec] = None,
     tile: int = 16,
     cache_dir: Optional[Path] = None,
-    device: Optional[DeviceSpec] = None,
     retune: Optional[RetunePolicy] = None,
     batcher: Optional[BatcherConfig] = None,
     max_batch_size: Optional[int] = None,
@@ -299,7 +267,7 @@ def serve(
         batcher = BatcherConfig(**overrides)
     session = compile(
         network, engine=engine, tile=tile, cache_dir=cache_dir,
-        device=device, retune=retune,
+        retune=retune,
     )
     return session.serve(batcher)
 
@@ -312,7 +280,6 @@ def gateway(
     engine: Optional[EngineSpec] = None,
     tile: int = 16,
     cache_dir: Optional[Path] = None,
-    device: Optional[DeviceSpec] = None,
     retune: Optional[RetunePolicy] = None,
     start: bool = True,
 ) -> AsyncGateway:
@@ -320,10 +287,11 @@ def gateway(
 
     ``networks`` names the tenants: one zoo model name, several, or an
     explicit ``{tenant: network}`` mapping.  Each tenant factory
-    compiles through :func:`compile`; stateless sessions (no aging, no
-    re-tuning) are shared between shards via the warm-session registry,
-    while stateful ones (``device`` with temporal aging, or ``retune``)
-    compile one isolated replica per shard so shards age independently.
+    compiles through :func:`compile`.  A stateful session, one whose
+    cells age (the resolved engine's ``hardware.temporal`` is set and
+    enabled) or that re-tunes (``retune`` given), is compiled once per
+    shard, so shards age and re-program their own arrays; a stateless
+    one is shared between shards through the warm-session registry.
 
     ``config`` carries the serving-plane knobs (admission limits,
     routing replicas, batcher shape); ``shards`` is a convenience
@@ -337,8 +305,9 @@ def gateway(
         networks = {networks: networks}
     elif not isinstance(networks, dict):
         networks = {name: name for name in networks}
+    temporal = resolve_engine(engine, caller="repro.api").hardware.temporal
     stateful = retune is not None or (
-        device is not None and device.temporal.enabled
+        temporal is not None and temporal.enabled
     )
 
     def _factory(network_name: str):
@@ -348,7 +317,6 @@ def gateway(
                 engine=engine,
                 tile=tile,
                 cache_dir=cache_dir,
-                device=device,
                 retune=retune,
                 reuse=not stateful,
             )

@@ -126,15 +126,14 @@ class IntegerLayer:
     all-ones column per block when the firing tables vary with the
     block's active-row count (the GEMM then counts the active rows
     itself).  ``tables`` is ``(K, n_t, cols)`` float32 minimal firing
-    accumulators indexed by active-row count (``None`` for layers that
-    emit analog sums), and ``static`` marks tables that do not vary
-    with it.
+    accumulators indexed by active-row count, and ``static`` marks
+    tables that do not vary with it.
     """
 
     weights: np.ndarray
     units: np.ndarray
     cols: int
-    tables: Optional[np.ndarray] = None
+    tables: np.ndarray
     static: bool = True
     _tiled: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -153,7 +152,7 @@ def integer_layer(
     matrices: Sequence[np.ndarray],
     units: Sequence[float],
     height: int,
-    thresholds: Optional[Sequence[np.ndarray]] = None,
+    thresholds: Sequence[np.ndarray],
     bias: Optional[np.ndarray] = None,
     max_input: int = 1,
     level_error: float = 0.0,
@@ -162,9 +161,9 @@ def integer_layer(
 
     ``matrices``/``units`` are the blocks' float64 cells and grid units;
     ``height`` is the float64 kernel's dot-product length (the padded
-    block height).  With ``thresholds`` (per block, the float64
-    threshold for each active-row count ``0..len(block)``) and the
-    ``bias`` the float64 kernel adds, every entry must certify.
+    block height).  ``thresholds`` gives, per block, the float64
+    threshold for each active-row count ``0..len(block)``; with the
+    ``bias`` the float64 kernel adds, every table entry must certify.
     ``max_input`` is the largest integer input (1 for selection bits,
     the DAC's step count for codes) and ``level_error`` the relative
     rounding of the float64 kernel's drive levels.  Returns None when a
@@ -180,27 +179,22 @@ def integer_layer(
             return None
         ints.append(block)
     cols = ints[0].shape[1]
-    tables, static = None, True
-    if thresholds is not None:
-        bias = np.zeros(cols) if bias is None else np.asarray(bias, np.float64)
-        rows = []
-        for matrix, unit, block, limits in zip(
-            matrices, units, ints, thresholds
-        ):
-            table = _firing_table(
-                matrix, unit, block, limits, bias, height, max_input,
-                level_error,
-            )
-            if table is None:
-                return None
-            rows.append(table)
-        # Blocks shorter than the longest repeat their last row: those
-        # active-row counts are unreachable.
-        depth = max(len(table) for table in rows)
-        tables = np.stack(
-            [np.pad(t, ((0, depth - len(t)), (0, 0)), "edge") for t in rows]
-        ).astype(np.float32)
-        static = bool((tables == tables[:, :1]).all())
+    bias = np.zeros(cols) if bias is None else np.asarray(bias, np.float64)
+    rows = []
+    for matrix, unit, block, limits in zip(matrices, units, ints, thresholds):
+        table = _firing_table(
+            matrix, unit, block, limits, bias, height, max_input, level_error
+        )
+        if table is None:
+            return None
+        rows.append(table)
+    # Blocks shorter than the longest repeat their last row: those
+    # active-row counts are unreachable.
+    depth = max(len(table) for table in rows)
+    tables = np.stack(
+        [np.pad(t, ((0, depth - len(t)), (0, 0)), "edge") for t in rows]
+    ).astype(np.float32)
+    static = bool((tables == tables[:, :1]).all())
     weights = np.zeros((len(ints), height, cols + (not static)), np.float32)
     for k, block in enumerate(ints):
         weights[k, : len(block), :cols] = block

@@ -29,13 +29,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import QuantizationError
-from repro.nn.layers import Conv2D, Dense
 from repro.nn.losses import accuracy
 from repro.nn.network import Sequential
 
 from repro.core.binarized import binarize
 from repro.core.binarized import intermediate_quantizable_indices
-from repro.core.matrix_compute import layer_weight_matrix
 from repro.core.threshold_search import SearchConfig, SearchResult, _tail_forward
 
 __all__ = [
@@ -195,20 +193,3 @@ def _collect_io(
                 x = binarize(x, thresholds[index])
         outputs.append(x)
     return np.concatenate(inputs, axis=0), np.concatenate(outputs, axis=0)
-
-
-def _mean_active_rows(layer, layer_input: np.ndarray) -> float:
-    """Expected number of active crossbar rows per MVM.
-
-    For 1-bit inputs this is the mean ones-count of a receptive field;
-    for the analog input layer the mean input intensity stands in for
-    the activation probability.
-    """
-    matrix_rows = layer_weight_matrix(layer).shape[0]
-    if isinstance(layer, Dense):
-        density = float(np.mean(layer_input != 0))
-    elif isinstance(layer, Conv2D):
-        density = float(np.mean(layer_input))
-    else:  # pragma: no cover - callers pass weighted layers only
-        raise QuantizationError("layer has no weight matrix")
-    return density * matrix_rows

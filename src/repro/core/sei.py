@@ -127,11 +127,6 @@ class SEIMatrix:
         Weight precision to represent (8 in the paper).
     max_crossbar_size:
         Fabrication limit checked against the *physical* geometry.
-    signed_inputs:
-        True uses positive/negative extra-port voltages for the two sign
-        groups (bipolar devices).  For unipolar devices use the
-        dynamic-threshold structure in
-        :mod:`repro.core.dynamic_threshold` instead.
     ir_drop_lambda:
         First-order IR-drop coefficient: column outputs attenuate by
         ``1 / (1 + lambda * physical_rows / max_crossbar_size)``.  Note
@@ -151,7 +146,6 @@ class SEIMatrix:
     device: Optional[RRAMDevice] = None
     weight_bits: int = 8
     max_crossbar_size: int = 512
-    signed_inputs: bool = True
     ir_drop_lambda: float = 0.0
     rng: Optional[np.random.Generator] = None
     temporal: Optional[TemporalConfig] = None
@@ -159,11 +153,6 @@ class SEIMatrix:
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.device = self.device if self.device is not None else RRAMDevice()
-        if not self.signed_inputs and (self.weights < 0).any():
-            raise ConfigurationError(
-                "negative weights need signed extra-port inputs; for "
-                "unipolar devices use DynamicThresholdMatrix"
-            )
         slices, coefficients, scale = decompose_weights(
             self.weights, self.weight_bits, self.device.bits
         )

@@ -1,21 +1,19 @@
-"""RRAM hardware substrate: device, arrays, crossbar, peripherals, tech.
+"""RRAM hardware substrate: device, arrays, peripherals, tech.
 
 The stable hardware surface.  Cell state lives on one
 :class:`DeviceArray` (the numpy device model, static or with seeded
 closed-form aging); engines program and read *through* it rather than
-holding conductance arrays.
-:class:`DeviceSpec` is the declarative entry point the ``repro.api``
-facade threads through compile/serve.
+holding conductance arrays.  A compiled network's cells are described
+by its ``HardwareConfig``: one :class:`RRAMDevice` and an optional
+:class:`TemporalConfig`.
 """
 
 from repro.hw.array import (
     ArrayHealth,
     DeviceArray,
     DeviceArraySnapshot,
-    DeviceSpec,
     TemporalConfig,
 )
-from repro.hw.crossbar import Crossbar
 from repro.hw.device import RRAMDevice
 from repro.hw.peripherals import ADC, DAC, SEIDecoder, SenseAmp, TraditionalDecoder
 from repro.hw.retune import (
@@ -31,7 +29,6 @@ from repro.hw.tuning import TuningResult, stuck_cell_map, tune_cells
 
 __all__ = [
     "RRAMDevice",
-    "Crossbar",
     "ADC",
     "DAC",
     "SenseAmp",
@@ -48,7 +45,6 @@ __all__ = [
     "TemporalConfig",
     "DeviceArraySnapshot",
     "ArrayHealth",
-    "DeviceSpec",
     # Online re-tuning.
     "RetunePolicy",
     "RetuneEvent",

@@ -1,8 +1,8 @@
 """Stateful device arrays: the one cell-array model under ``repro.hw``.
 
-Engines used to poke programmed conductance arrays directly (``Crossbar.
-conductance``, ``SEIMatrix._conductances``); every consumer therefore
-assumed the device state was *frozen* at program time.  Real crossbars
+Engines used to poke programmed conductance arrays directly
+(``SEIMatrix._conductances``); every consumer therefore assumed the
+device state was *frozen* at program time.  Real crossbars
 are not: conductance drifts (power law [8]), retention decays toward the
 high-resistance state, and every read disturbs the cells a little.
 :class:`DeviceArray` is the one array every crossbar-consuming engine
@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "DeviceArraySnapshot",
     "DeviceArray",
     "PerGeneration",
-    "DeviceSpec",
 ]
 
 
@@ -215,9 +214,9 @@ class DeviceArray:
     * :attr:`conductance` / :attr:`normalized` — the current cell
       state, raw and on the [0, 1] weight scale (no read noise).
     * :meth:`read` / :meth:`read_normalized` — one noisy read of the
-      current state through the device's read-noise model: the raw base
-      (the :class:`~repro.hw.crossbar.Crossbar` convention) and the
-      round-tripped weight-scale base (the SEI convention).
+      current state through the device's read-noise model: the raw
+      conductances and the round-tripped weight-scale base (the base the
+      SEI structures read).
     * :meth:`note_reads` — engines report how many MVM positions they
       actually evaluated; this drives read disturb.
     * :meth:`advance` — move the array's clock forward.
@@ -583,46 +582,3 @@ class PerGeneration:
             cache = (key, self._build())
             self._cache = cache
         return cache[1]
-
-
-@dataclass(frozen=True)
-class DeviceSpec:
-    """Declarative device description for the ``repro.api`` facade.
-
-    Bundles the :class:`~repro.hw.device.RRAMDevice` non-idealities and
-    the :class:`TemporalConfig` aging behaviour into one frozen value
-    that digests cleanly — the device-side sibling of
-    :class:`~repro.core.engines.EngineSpec`, so callers stop
-    hand-constructing ``RRAMDevice`` + ``Crossbar`` pairs.
-    """
-
-    bits: int = 4
-    g_min: float = 1e-6
-    g_max: float = 1e-4
-    program_sigma: float = 0.0
-    read_sigma: float = 0.0
-    stuck_low_rate: float = 0.0
-    stuck_high_rate: float = 0.0
-    temporal: TemporalConfig = field(default_factory=TemporalConfig)
-
-    def device(self) -> RRAMDevice:
-        """The plain :class:`RRAMDevice` this spec describes."""
-        return RRAMDevice(
-            bits=self.bits,
-            g_min=self.g_min,
-            g_max=self.g_max,
-            program_sigma=self.program_sigma,
-            read_sigma=self.read_sigma,
-            stuck_low_rate=self.stuck_low_rate,
-            stuck_high_rate=self.stuck_high_rate,
-        )
-
-    def make_array(
-        self,
-        shape: Optional[Tuple[int, ...]] = None,
-        rng: Optional[Union[int, np.random.Generator]] = None,
-    ) -> DeviceArray:
-        """A ready device array for this spec (static or aging)."""
-        if rng is not None and not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        return DeviceArray(self.device(), shape, self.temporal, rng)

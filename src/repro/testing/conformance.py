@@ -60,14 +60,10 @@ __all__ = [
     "run_skip_exact",
 ]
 
-#: Engine names the runtime activation estimator plugs into (the fused
-#: engine and its ``packed`` alias) — the only ones the ``skip_exact``
-#: oracle pass can (and must) cover.
-ESTIMATOR_ENGINES = ("fused", "packed")
-
-#: The ``engine`` of a ``skip_exact`` verdict comparing the exact-mode
-#: counters of the two estimator engine names with each other.
-COUNTER_PAIR = "fused=packed"
+#: Engines the runtime activation estimator plugs into — the only ones
+#: the ``skip_exact`` oracle pass can (and must) cover.  (``packed`` is
+#: an alias of ``fused``: the same builder.)
+ESTIMATOR_ENGINES = ("fused",)
 
 logger = obs.get_logger("testing")
 
@@ -97,9 +93,9 @@ class ConformanceConfig:
     #: Explicit case list overriding the generator (for reruns).
     explicit_cases: Optional[Sequence[ConformanceCase]] = None
     #: ``"exact"`` adds the ``skip_exact`` oracle pass: the fused engine
-    #: and its packed alias with the exact runtime activation estimator
-    #: must stay bit-identical to their estimator-off selves on the
-    #: zoo-shaped (golden) cases.
+    #: with the exact runtime activation estimator must stay
+    #: bit-identical to its estimator-off self on the zoo-shaped
+    #: (golden) cases.
     estimator: str = "off"
 
     def __post_init__(self) -> None:
@@ -107,6 +103,13 @@ class ConformanceConfig:
             raise ConfigurationError(
                 "ConformanceConfig estimator must be 'off' or 'exact', "
                 f"got {self.estimator!r}"
+            )
+        if self.estimator == "exact" and not (
+            set(ESTIMATOR_ENGINES) & set(self.engines)
+        ):
+            raise ConfigurationError(
+                f"estimator='exact' checks {', '.join(ESTIMATOR_ENGINES)}; "
+                f"none is among the engines {list(self.engines)}"
             )
 
 
@@ -121,10 +124,6 @@ class SkipExactResult:
     certified firing tables, and anything it cannot prove falls back to
     the off arithmetic.  This pass holds it to that promise — no
     tolerance, ``array_equal`` or bust.
-
-    A verdict whose ``engine`` is :data:`COUNTER_PAIR` compares the
-    engines with each other instead: ``mismatched_samples`` then counts
-    the ``hw/layer*`` exports and read clocks that differ.
     """
 
     case_name: str
@@ -136,12 +135,6 @@ class SkipExactResult:
     def describe(self) -> str:
         if self.identical:
             return f"{self.case_name}/{self.engine}: bit-identical"
-        if self.engine == COUNTER_PAIR:
-            return (
-                f"{self.case_name}/{self.engine}: {self.mismatched_samples} "
-                f"hw/layer* export(s) or read clock(s) differ between "
-                f"fused-exact and packed-exact"
-            )
         return (
             f"{self.case_name}/{self.engine}: exact estimator diverged "
             f"from estimator-off on {self.mismatched_samples} sample(s), "
@@ -171,13 +164,6 @@ def run_skip_exact(
     express.  Each case x engine pair compiles two fresh sessions from
     the same artefacts — identical specs except the estimator — and
     compares full-batch outputs with ``np.array_equal``.
-
-    On integral cases (no programming or read variation) run for both
-    estimator engines, a second check holds "packed = fused" for the
-    estimator too: the exact sessions' ``hw/layer*`` exports and the
-    ``reads_since_program`` of every device array must be equal
-    (:data:`COUNTER_PAIR` verdicts).  ``packed`` is an alias of the
-    fused engine, so this verdict holds the alias to the whole spec.
     """
     from repro.core.estimate import EstimatorPolicy
 
@@ -187,7 +173,6 @@ def run_skip_exact(
     results: List[SkipExactResult] = []
     for case in cases:
         built = build_case(case)
-        counters = {}
         for engine in engines:
             if engine not in case.engines:
                 continue
@@ -199,9 +184,9 @@ def run_skip_exact(
                 "conformance.skip_exact", case=case.name, engine=engine
             ):
                 off = runner._execute(built, spec_off, built.inputs)
-                exact, counters[engine] = _exact_counters(
-                    runner, built, spec_exact
-                )
+                # Recorded, so the skip pass prices its counters too.
+                with obs.recording():
+                    exact = runner._execute(built, spec_exact, built.inputs)
             if np.array_equal(off, exact):
                 results.append(SkipExactResult(case.name, engine, True))
             else:
@@ -216,38 +201,7 @@ def run_skip_exact(
                     )
                 )
             obs.count("conformance/skip_exact_pairs")
-        integral = case.program_sigma <= 0 and case.read_sigma <= 0
-        if integral and set(ESTIMATOR_ENGINES) <= set(counters):
-            fused, packed = (counters[e] for e in ESTIMATOR_ENGINES)
-            differ = sum(
-                fused.get(key) != packed.get(key)
-                for key in set(fused) | set(packed)
-            )
-            results.append(
-                SkipExactResult(
-                    case.name, COUNTER_PAIR, differ == 0,
-                    mismatched_samples=differ,
-                )
-            )
     return results
-
-
-def _exact_counters(runner, built, spec):
-    """One recorded run of ``spec``: its outputs, and its ``hw/layer*``
-    exports and per-array read clocks."""
-    session = runner._session(built, spec)
-    with obs.recording() as rec:
-        out = session.infer_batch(built.inputs)
-    exported = rec.metrics.as_dict()
-    counters = {
-        (kind, name): value
-        for kind in ("counters", "gauges", "histograms")
-        for name, value in exported.get(kind, {}).items()
-        if name.startswith("hw/layer")
-    }
-    for name, array in session.device_arrays.items():
-        counters["reads", name] = array.health().reads_since_program
-    return out, counters
 
 
 @dataclass
@@ -453,17 +407,15 @@ def run_conformance(
             report.golden = verify_corpus(golden_dir)
 
         if config.estimator == "exact":
-            skip_engines = tuple(
-                e for e in ESTIMATOR_ENGINES if e in config.engines
+            report.skip_exact = run_skip_exact(
+                list(iter_zoo_shaped_cases()),
+                engines=tuple(
+                    e for e in ESTIMATOR_ENGINES if e in config.engines
+                ),
+                runner=DifferentialRunner(
+                    minimize=False, check_invariance=False
+                ),
             )
-            if skip_engines:
-                report.skip_exact = run_skip_exact(
-                    list(iter_zoo_shaped_cases()),
-                    engines=skip_engines,
-                    runner=DifferentialRunner(
-                        minimize=False, check_invariance=False
-                    ),
-                )
 
         if config.self_check:
             probe = next(iter_zoo_shaped_cases(engines=("fused",)))

@@ -42,8 +42,10 @@ __all__ = [
     "generate_cases",
 ]
 
-#: Engines every generated case runs through by default.
-DEFAULT_ENGINES: Tuple[str, ...] = ("fused", "packed", "reference", "adc")
+#: Engines every generated case runs through by default.  ``packed`` is
+#: an alias of ``fused`` (the same builder), so it is not run twice;
+#: the golden entries that name it keep verifying its pinned logits.
+DEFAULT_ENGINES: Tuple[str, ...] = ("fused", "reference", "adc")
 
 #: Calibration sample count for the threshold quantiles.
 CALIBRATION_SAMPLES = 48

@@ -40,7 +40,6 @@ from repro.testing import (
     run_skip_exact,
     verify_corpus,
 )
-from repro.testing.conformance import COUNTER_PAIR
 
 pytestmark = pytest.mark.conformance
 
@@ -109,12 +108,13 @@ class TestGenerators:
         assert "adc" not in cases["golden-network3-mini"].engines
         assert "adc" in cases["golden-network1-mini"].engines
 
-    def test_packed_engine_in_default_grid(self):
+    def test_packed_alias_is_the_fused_builder(self):
+        from repro.core.engines import engine_builder
         from repro.testing.generators import DEFAULT_ENGINES
 
-        assert "packed" in DEFAULT_ENGINES
-        for case in iter_zoo_shaped_cases():
-            assert "packed" in case.engines
+        # One builder under two names: the default grid runs it once.
+        assert engine_builder("packed") is engine_builder("fused")
+        assert "packed" not in DEFAULT_ENGINES
 
 
 class TestPolicies:
@@ -200,48 +200,58 @@ class TestDifferentialRunner:
 
 
 class TestSkipExact:
-    """Exact estimator = off per engine, and fused = packed counters."""
+    """Exact estimator = estimator-off, bit for bit."""
 
     #: Two convs, the second split: an estimated split layer.
     CASE = replace(
         SMALL, name="unit-skip", conv_channels=(3, 4), max_crossbar_size=24,
-        engines=("fused", "packed"),
+        engines=("fused",),
     )
 
-    def test_integral_case_adds_counter_verdict(self):
+    def test_integral_case_matches_estimator_off(self):
         results = run_skip_exact([self.CASE], runner=_fast_runner())
-        assert [r.engine for r in results] == ["fused", "packed", COUNTER_PAIR]
+        assert [(r.case_name, r.engine) for r in results] == [
+            ("unit-skip", "fused"),
+        ]
         assert all(r.identical for r in results), [
             r.describe() for r in results
         ]
 
-    def test_counter_divergence_detected(self, monkeypatch):
-        # A "packed" builder that drops its estimator policy keeps exact
-        # = off but records no skip counters: the counter verdict is
-        # what proves the alias carries the whole spec.
-        from repro.core import engines
-        from repro.core.estimate import EstimatorPolicy
+    def test_variation_case_matches_estimator_off(self):
+        noisy = replace(self.CASE, name="unit-skip-noise", program_sigma=0.2)
+        results = run_skip_exact([noisy], runner=_fast_runner())
+        assert [(r.case_name, r.engine) for r in results] == [
+            ("unit-skip-noise", "fused"),
+        ]
+        assert all(r.identical for r in results), [
+            r.describe() for r in results
+        ]
 
-        build = engines.engine_builder("packed")
-        monkeypatch.setitem(
-            engines._ENGINES, "packed",
-            lambda network, thresholds, spec, **kw: build(
-                network, thresholds,
-                replace(spec, estimator=EstimatorPolicy()), **kw,
-            ),
-        )
-        results = run_skip_exact([self.CASE], runner=_fast_runner())
-        verdicts = {r.engine: r for r in results}
-        assert verdicts["fused"].identical and verdicts["packed"].identical
-        pair = verdicts[COUNTER_PAIR]
-        assert not pair.identical and pair.mismatched_samples > 0
-        assert "fused-exact and packed-exact" in pair.describe()
+    def test_exact_needs_an_estimator_engine(self):
+        # Neither the alias nor adc runs the skip pass: asking for it
+        # must not pass vacuously.
+        for engines in (("packed",), ("reference", "adc")):
+            with pytest.raises(ConfigurationError):
+                ConformanceConfig(engines=engines, estimator="exact")
+        ConformanceConfig(engines=("fused", "adc"), estimator="exact")
 
-    def test_variation_case_has_no_counter_verdict(self):
-        case = replace(self.CASE, name="unit-skip-noise", program_sigma=0.2)
-        results = run_skip_exact([case], runner=_fast_runner())
-        assert [r.engine for r in results] == ["fused", "packed"]
-        assert all(r.identical for r in results)
+    def test_divergence_is_reported(self):
+        # An exact-mode run that moves one logit must fail the verdict.
+        runner = _fast_runner()
+        execute = runner._execute
+
+        def nudged(built, spec, inputs):
+            out = execute(built, spec, inputs)
+            if spec.estimator.mode == "exact":
+                out = out.copy()
+                out[0, 0] += 1e-9
+            return out
+
+        runner._execute = nudged
+        (result,) = run_skip_exact([self.CASE], runner=runner)
+        assert not result.identical
+        assert result.mismatched_samples == 1
+        assert "diverged" in result.describe()
 
 
 class TestFaultInjection:

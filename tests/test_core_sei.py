@@ -125,18 +125,6 @@ class TestSEIMatrix:
         with pytest.raises(ShapeError):
             sei.compute(np.ones(9))
 
-    def test_unsigned_inputs_flag(self, rng):
-        with pytest.raises(ConfigurationError):
-            SEIMatrix(
-                rng.normal(size=(4, 4)),
-                signed_inputs=False,
-                max_crossbar_size=512,
-            )
-        # Non-negative weights are fine without signed inputs.
-        SEIMatrix(
-            rng.random((4, 4)), signed_inputs=False, max_crossbar_size=512
-        )
-
     def test_device_noise_perturbs_but_close(self, rng):
         weights = rng.normal(size=(30, 4))
         noisy = SEIMatrix(

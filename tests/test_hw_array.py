@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hw.array import DeviceArray, DeviceSpec, TemporalConfig
+from repro.hw.array import DeviceArray, TemporalConfig
 from repro.hw.device import RRAMDevice
 from repro.hw.retune import (
     RetunePolicy,
@@ -272,31 +272,6 @@ class TestHealth:
         # A full-scale cell decayed by 1-1/e spans many 4-bit steps.
         assert health.drift_level_steps > 5.0
         assert health.max_drift_level_steps >= health.drift_level_steps
-
-
-class TestDeviceSpec:
-    def test_device_round_trip(self):
-        spec = DeviceSpec(bits=6, program_sigma=0.1, read_sigma=0.02)
-        device = spec.device()
-        assert device.bits == 6
-        assert device.program_sigma == 0.1
-        assert device.read_sigma == 0.02
-
-    def test_make_array_backend_selection(self):
-        static = DeviceSpec().make_array()
-        assert static.config is None and not static.temporal
-        aged = DeviceSpec(temporal=TemporalConfig(drift_nu=0.05))
-        assert aged.make_array().temporal
-        assert aged.make_array().config == aged.temporal
-
-    def test_make_array_accepts_int_seed(self, rng):
-        targets = rng.random((4, 4))
-        spec = DeviceSpec(program_sigma=0.2)
-        a = spec.make_array(rng=7)
-        b = spec.make_array(rng=np.random.default_rng(7))
-        a.program(targets)
-        b.program(targets)
-        np.testing.assert_array_equal(a.conductance, b.conductance)
 
 
 class TestRetune:

@@ -24,6 +24,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import api
 from repro.errors import (
     BackpressureError,
     ConfigurationError,
@@ -338,6 +339,59 @@ class TestGatewayBasics:
                 > 0
             ]
             assert len(busy) == 1
+
+
+class TestFacadeShardIsolation:
+    """``api.gateway`` compiles one session per shard when it is stateful,
+    however the aging cells are specified."""
+
+    @staticmethod
+    def _factory_compiles(monkeypatch, **gateway_kwargs):
+        calls = []
+
+        def fake_compile(network, **kwargs):
+            calls.append(kwargs)
+            return object()
+
+        monkeypatch.setattr(api, "compile", fake_compile)
+        gw = api.gateway("network2", shards=2, start=False, **gateway_kwargs)
+        build = gw.tenants["network2"]
+        build()
+        build()
+        return calls
+
+    @staticmethod
+    def _engine(temporal):
+        return api.EngineSpec(hardware=api.HardwareConfig(temporal=temporal))
+
+    def test_aging_engine_spec_compiles_per_shard(self, monkeypatch):
+        engine = self._engine(api.TemporalConfig(drift_nu=0.05))
+        calls = self._factory_compiles(monkeypatch, engine=engine)
+        assert [kw["reuse"] for kw in calls] == [False, False]
+        assert all(kw["engine"] is engine for kw in calls)
+
+    def test_retune_policy_compiles_per_shard(self, monkeypatch):
+        retune = api.RetunePolicy(check_every=8)
+        calls = self._factory_compiles(monkeypatch, retune=retune)
+        assert [kw["reuse"] for kw in calls] == [False, False]
+        assert all(kw["retune"] is retune for kw in calls)
+
+    @pytest.mark.parametrize(
+        "temporal",
+        [None, api.TemporalConfig()],
+        ids=["no-temporal", "temporal-all-off"],
+    )
+    def test_static_cells_share_one_session(self, monkeypatch, temporal):
+        calls = self._factory_compiles(
+            monkeypatch, engine=self._engine(temporal)
+        )
+        assert [kw["reuse"] for kw in calls] == [True, True]
+
+    def test_no_verb_takes_a_device_keyword(self):
+        import inspect
+
+        for verb in (api.compile, api.infer, api.serve, api.gateway):
+            assert "device" not in inspect.signature(verb).parameters
 
 
 class TestAdmissionControl:

@@ -25,12 +25,25 @@ Implementation notes
   default ``'fused'`` engine exploits that binarization commutes with
   every layer between the searched layer and the next weighted one
   (ReLU acts on 0/1 data, max pooling is an OR, im2col is a gather):
-  those layers run *once* on the analog activations, and all ~41
-  candidates are then scored with batched threshold-compare + matmul
-  passes.  A prefix-activation cache stores the binary boundary
-  activations seen during collection, so deeper layers and refinement
-  passes resume mid-network instead of re-running the whole prefix, and
-  refinement passes whose inputs are unchanged return memoized curves.
+  those layers run *once* on the analog activations.  Each activation
+  is then ranked: its level is the number of candidates strictly below
+  it, so it fires at candidate ``k`` iff ``k < level``.  The scan walks
+  the ~41 candidates in ascending order per cache-sized sample block
+  and recomputes the next weighted layer only for the rows whose bits a
+  candidate switches (rows holding a ``level == k``); on network2 that
+  is about one row product in nine, since most activations are zero or
+  far above the grid.  Scores stay identical: a rescored row is a fresh
+  dot product of the same 0/1 row the reference multiplies, an
+  unswitched row keeps its bits and hence its product, and a score is
+  an integer count divided by the sample count, exactly the reference's
+  boolean mean.  (BLAS may round a row's sum differently in the last
+  place for calls of different shapes, as it already may between the
+  reference's batches and any stacked matmul; argmax predictions absorb
+  that, and the equivalence tests pin the curves.)  A prefix-activation
+  cache stores the binary boundary activations seen during collection,
+  so deeper layers and refinement passes resume mid-network instead of
+  re-running the whole prefix, and refinement passes whose inputs are
+  unchanged return memoized curves.
   ``'reference'`` is the pre-fusion per-candidate loop, retained verbatim
   (including the window-materialising argmax pooling the forward pass
   used) as the equivalence oracle and the perf-benchmark baseline.  Both
@@ -63,9 +76,10 @@ from repro.nn.network import Sequential
 
 __all__ = ["SearchConfig", "SearchResult", "search_thresholds"]
 
-#: Upper bound on ``candidates_in_chunk * samples * features`` elements a
-#: fused scan materialises at once (~64 MB of float64 selection signals).
-_MAX_SCAN_ELEMENTS = 1 << 23
+#: Comparison-space elements per sample block of the fused scan: a
+#: block's selection levels, entry products and tail activations stay
+#: cache-resident while every candidate is scored on it.
+_SCAN_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -89,9 +103,10 @@ class SearchConfig:
     #: greedy error compounds (see the deep-network example/ablation).
     refine_passes: int = 0
     batch_size: int = 256
-    #: 'fused' scores all candidates in batched vectorized passes and
-    #: caches prefix activations across layers/passes; 'reference' is the
-    #: retained pre-fusion per-candidate loop.  Results are identical.
+    #: 'fused' scores the candidates in ascending order, rescoring only
+    #: the rows each one switches, and caches prefix activations across
+    #: layers/passes; 'reference' is the retained pre-fusion
+    #: per-candidate loop.  Results are identical.
     engine: str = "fused"
 
     def candidates(self) -> np.ndarray:
@@ -443,7 +458,7 @@ def _search_by_accuracy(
     }
     obs.count("search/candidates_scored", len(candidates))
     if engine == "fused":
-        plan = _plan_fused_scan(net, pre_acts, layer_index)
+        plan = _plan_fused_scan(net, pre_acts, layer_index, candidates)
         if plan is not None:
             return _fused_accuracy_scan(
                 net, plan, labels, candidates, tail_thresholds
@@ -479,15 +494,19 @@ def _search_by_accuracy(
 class _FusedScanPlan:
     """Precomputed state for scoring every candidate of one layer.
 
-    ``space`` holds the analog activations already pushed through the
-    monotone head (ReLU dropped — it acts on 0/1 data in the reference
-    order; max pooling applied to the analog values — ``max > t`` equals
-    ``OR(bits)``; Flatten/im2col applied — pure gathers commute with the
-    comparison).  Binarizing ``space`` against a candidate therefore
-    yields exactly the input the next weighted layer would have seen.
+    ``levels`` holds, per element of the next weighted layer's input,
+    how many candidates lie strictly below the analog value that reaches
+    it: the activations are pushed through the monotone head (ReLU
+    dropped — it acts on 0/1 data in the reference order; max pooling
+    applied to the analog values — ``max > t`` equals ``OR(bits)``) and
+    ranked against the ascending candidates, then Flatten/im2col gather
+    the ranks (pure gathers commute with the comparison; im2col's zero
+    padding is rank 0, a bit that never fires, as in the reference).
+    The element fires at candidate ``k`` iff ``k < level``, so
+    ``levels > k`` is exactly the 0/1 input the entry layer would see.
     """
 
-    space: np.ndarray          # (rows, features) comparison space
+    levels: np.ndarray         # (rows, features) candidate ranks
     entry: Layer               # the weighted layer consuming the bits
     entry_index: int
     samples: int
@@ -495,9 +514,12 @@ class _FusedScanPlan:
 
 
 def _plan_fused_scan(
-    net: Sequential, pre_acts: np.ndarray, layer_index: int
+    net: Sequential,
+    pre_acts: np.ndarray,
+    layer_index: int,
+    candidates: np.ndarray,
 ) -> Optional[_FusedScanPlan]:
-    """Reduce the tail head to a flat comparison space, or None to fall back."""
+    """Reduce the tail head to flat candidate ranks, or None to fall back."""
     reduced = pre_acts
     index = layer_index + 1
     while index < len(net.layers):
@@ -518,19 +540,24 @@ def _plan_fused_scan(
         return None
     entry = net.layers[index]
     samples = reduced.shape[0]
+    # ``side="left"`` counts the candidates strictly below each value;
+    # the dtype holds every rank 0..len(candidates).
+    levels = np.searchsorted(candidates, reduced, side="left").astype(
+        np.min_scalar_type(len(candidates))
+    )
     if isinstance(entry, Dense):
-        if reduced.ndim != 2 or reduced.shape[1] != entry.in_features:
+        if levels.ndim != 2 or levels.shape[1] != entry.in_features:
             return None
-        return _FusedScanPlan(reduced, entry, index, samples, None)
+        return _FusedScanPlan(levels, entry, index, samples, None)
     if isinstance(entry, Conv2D):
-        if reduced.ndim != 4:
+        if levels.ndim != 4:
             return None
-        _, _, h, w = reduced.shape
+        _, _, h, w = levels.shape
         out_h = F.conv_output_size(h, entry.kernel_size, entry.stride,
                                    entry.padding)
         out_w = F.conv_output_size(w, entry.kernel_size, entry.stride,
                                    entry.padding)
-        cols = F.im2col(reduced, entry.kernel_size, entry.kernel_size,
+        cols = F.im2col(levels, entry.kernel_size, entry.kernel_size,
                         entry.stride, entry.padding)
         return _FusedScanPlan(cols, entry, index, samples, (out_h, out_w))
     return None
@@ -543,26 +570,56 @@ def _fused_accuracy_scan(
     candidates: np.ndarray,
     tail_thresholds: Dict[int, float],
 ):
-    """Score all candidates from chunked threshold-compare + matmul passes."""
-    rows, features = plan.space.shape
-    chunk = max(1, int(_MAX_SCAN_ELEMENTS // max(1, rows * features)))
-    bits = np.empty((chunk, rows, features))
-    scores = np.empty(len(candidates))
+    """Score all candidates, rescoring only the rows each one switches.
 
-    for start in range(0, len(candidates), chunk):
-        ts = candidates[start : start + chunk]
-        c = len(ts)
-        np.greater(
-            plan.space[None, :, :],
-            ts[:, None, None],
-            out=bits[:c],
-            casting="unsafe",
-        )
-        stacked = bits[:c].reshape(c * rows, features)
-        logits = _fused_tail(net, plan, stacked, c, tail_thresholds)
-        preds = logits.reshape(c, plan.samples, -1).argmax(axis=-1)
-        scores[start : start + c] = (preds == labels[None, :]).mean(axis=1)
+    Per sample block the candidates are walked in ascending order.  Every
+    entry row is computed at the first candidate; at candidate ``k`` a
+    row's selection bits differ from candidate ``k - 1``'s exactly where
+    an element has ``level == k``, so only those rows get a fresh dot
+    product of their new 0/1 row — the same row the full matmul would
+    see — and every other row keeps its product.  A candidate that
+    switches no row of the block keeps the previous candidate's count.
+    """
+    rows, features = plan.levels.shape
+    count = len(candidates)
+    weight = plan.entry.weight_matrix
+    rows_per_sample = rows // plan.samples
+    block = max(1, _SCAN_BLOCK_ELEMENTS // (rows_per_sample * features))
+    correct = np.zeros(count, dtype=np.int64)
+    rescored = 0
 
+    for first in range(0, plan.samples, block):
+        last = min(first + block, plan.samples)
+        levels = plan.levels[first * rows_per_sample : last * rows_per_sample]
+        block_rows = len(levels)
+        block_labels = labels[first:last]
+        # switched[k, r]: row r holds an element of level k.
+        switched = np.zeros((count + 1, block_rows), dtype=bool)
+        switched[levels, np.arange(block_rows)[:, None]] = True
+        bits = np.empty((block_rows, features))
+        np.greater(levels, 0, out=bits, casting="unsafe")
+        product = bits @ weight
+        rescored += block_rows
+        for k in range(count):
+            if k:
+                changed = np.flatnonzero(switched[k])
+                if len(changed) == 0:
+                    correct[k] += hits
+                    continue
+                # ``bits`` is free after the first product: reuse it.
+                sel = bits[: len(changed)]
+                np.greater(levels[changed], k, out=sel, casting="unsafe")
+                product[changed] = sel @ weight
+                rescored += len(changed)
+            logits = _fused_tail(
+                net, plan, product, last - first, tail_thresholds
+            )
+            hits = int(np.count_nonzero(logits.argmax(axis=-1) == block_labels))
+            correct[k] += hits
+
+    obs.count("search/scan_rows", rows * count)
+    obs.count("search/scan_rows_rescored", rescored)
+    scores = correct / plan.samples
     best_idx = int(np.argmax(scores))
     curve = {
         float(t): float(s) for t, s in zip(candidates, scores)
@@ -597,15 +654,17 @@ def _pool_nhwc(x: np.ndarray, pool: int, stride: int) -> np.ndarray:
 def _fused_tail(
     net: Sequential,
     plan: _FusedScanPlan,
-    stacked: np.ndarray,
-    num_candidates: int,
+    product: np.ndarray,
+    batch: int,
     tail_thresholds: Dict[int, float],
 ) -> np.ndarray:
-    """Entry matmul + remaining tail on candidate-stacked selection bits.
+    """Remaining tail on the entry layer's matmul output for ``batch`` samples.
 
-    The entry layer's arithmetic replicates ``conv2d``/``Dense.forward``
-    operation-for-operation (same matmul, same bias broadcast, same
-    reshape), so fused logits are bit-identical to the reference loop's.
+    ``product`` is the entry matmul of the selection bits (rows in
+    sample-major order); the rest of the entry layer's arithmetic
+    replicates ``conv2d``/``Dense.forward`` operation-for-operation (same
+    bias broadcast, same reshape), so fused logits match the reference
+    loop's.
 
     When a ``[ReLU] -> MaxPool2D`` pattern follows a Conv2D entry, the
     pool runs *first*, directly on the channels-last matmul output, and
@@ -622,10 +681,8 @@ def _fused_tail(
     entry = plan.entry
     if plan.conv_shape is not None:
         out_h, out_w = plan.conv_shape
-        out = stacked @ entry.weight_matrix
         bias = entry.params.get("bias")
-        batch = num_candidates * plan.samples
-        nhwc = out.reshape(batch, out_h, out_w, entry.out_channels)
+        nhwc = product.reshape(batch, out_h, out_w, entry.out_channels)
 
         # Detect the post-entry [ReLU] -> MaxPool2D pattern.
         index = plan.entry_index + 1
@@ -661,7 +718,7 @@ def _fused_tail(
                 x = binarize(x, tail_thresholds[plan.entry_index])
             resume = plan.entry_index + 1
     else:
-        x = stacked @ entry.params["weight"]
+        x = product
         if entry.use_bias:
             x = x + entry.params["bias"]
         if plan.entry_index in tail_thresholds:

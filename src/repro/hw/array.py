@@ -449,12 +449,6 @@ class DeviceArray:
         return self._base_cache
 
     # -- reads and time ----------------------------------------------------
-    def read(
-        self, rng: Optional[np.random.Generator] = None
-    ) -> np.ndarray:
-        """One noisy read of the raw conductances (RTN-style jitter)."""
-        return self.device.read(self.conductance, self._resolve_rng(rng))
-
     def read_normalized(
         self, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:

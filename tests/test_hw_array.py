@@ -54,14 +54,6 @@ class TestStaticDeviceArray:
         )
         np.testing.assert_array_equal(array.conductance, expected)
 
-    def test_read_matches_direct_device_read(self, rng):
-        device = RRAMDevice(bits=4, read_sigma=0.05)
-        array = DeviceArray(device)
-        array.program(rng.random((8, 8)), np.random.default_rng(1))
-        got = array.read(np.random.default_rng(2))
-        expected = device.read(array.conductance, np.random.default_rng(2))
-        np.testing.assert_array_equal(got, expected)
-
     def test_read_normalized_uses_weight_scale_base(self, rng):
         """The SEI read base is the normalized cells round-tripped to
         conductance — NOT the raw programmed values (they differ in the
@@ -101,7 +93,7 @@ class TestStaticDeviceArray:
     def test_unprogrammed_read_raises(self):
         array = DeviceArray(RRAMDevice())
         with pytest.raises(ConfigurationError, match="not been programmed"):
-            array.read()
+            array.read_normalized()
 
 
 class TestTemporalTrajectories:

@@ -1,12 +1,12 @@
 """Equivalence tests: fused compute engines vs the retained references.
 
 The fused kernels (SEI slice collapse, split-block stacking, analog
-merge concatenation, batched Algorithm 1 candidate scan) must agree with
-the pre-fusion implementations that are kept as oracles:
+merge concatenation, Algorithm 1's rescoring candidate scan) must agree
+with the pre-fusion implementations that are kept as oracles:
 
-* bitwise-identical results where the arithmetic is unchanged (the
-  threshold search executes the exact same BLAS calls in a different
-  batching), and
+* identical results where the arithmetic is unchanged (the threshold
+  search computes the same 0/1-row dot products, only fewer of them,
+  and must produce the same thresholds, scores and curves), and
 * tight ``allclose`` agreement plus identical RNG streams where partial
   sums are re-associated (merging K slice matmuls into one matmul
   changes only the floating-point summation order).
@@ -209,9 +209,9 @@ class TestBatchedSearchEquivalence:
                 np.testing.assert_array_equal(fl.params[key], rl.params[key])
 
     def test_network3_search_identical(self):
-        """The batched scan reproduces the per-candidate loop on network3
-        (conv-entry tail: pool/ReLU commutation + im2col + stacked conv
-        matmul), threshold-for-threshold and curve-for-curve."""
+        """The fused scan reproduces the per-candidate loop on network3
+        (conv-entry tail: pool/ReLU commutation + im2col of the ranks +
+        rescored conv rows), threshold-for-threshold and curve-for-curve."""
         from repro.zoo import get_dataset, get_trained_network
 
         dataset = get_dataset()
@@ -227,6 +227,126 @@ class TestBatchedSearchEquivalence:
         assert fused.thresholds == reference.thresholds
         assert fused.search_curves == reference.search_curves
         assert fused.layer_accuracy == reference.layer_accuracy
+
+    def test_network2_search_identical_at_scan_edges(self):
+        """Network2's conv entry (with its pool) and Dense entry, tail
+        thresholds in the refine pass, a part-filled last sample block,
+        and top candidates (up to 1.0, the rescaled peak) at which no
+        row fires: the rescoring scan still matches the reference."""
+        from repro.core import threshold_search
+        from repro.zoo import get_dataset, get_trained_network
+
+        dataset = get_dataset()
+        network = get_trained_network("network2", dataset=dataset)
+        samples = 301
+        # Layer 0 feeds 11x11 positions of 4x3x3 features to layer 3.
+        block = threshold_search._SCAN_BLOCK_ELEMENTS // (11 * 11 * 36)
+        assert samples % block != 0
+        images = dataset.train.images[:samples]
+        labels = dataset.train.labels[:samples]
+        kwargs = dict(thres_max=1.0, search_step=0.05, refine_passes=1)
+        fused = search_thresholds(
+            network, images, labels, SearchConfig(engine="fused", **kwargs)
+        )
+        reference = search_thresholds(
+            network, images, labels,
+            SearchConfig(engine="reference", **kwargs),
+        )
+        assert fused.thresholds == reference.thresholds
+        assert fused.divisors == reference.divisors
+        assert fused.layer_accuracy == reference.layer_accuracy
+        assert fused.search_curves == reference.search_curves
+
+    def test_more_than_255_candidates_identical(
+        self, trained_tiny_network, tiny_dataset
+    ):
+        """Candidate ranks past 255 must not wrap in the level dtype."""
+        config = dict(thres_max=0.3, search_step=0.001)
+        assert len(SearchConfig(**config).candidates()) > 256
+        images = tiny_dataset["train_x"][:100]
+        labels = tiny_dataset["train_y"][:100]
+        fused = search_thresholds(
+            trained_tiny_network, images, labels,
+            SearchConfig(engine="fused", **config),
+        )
+        reference = search_thresholds(
+            trained_tiny_network, images, labels,
+            SearchConfig(engine="reference", **config),
+        )
+        assert fused.thresholds == reference.thresholds
+        assert fused.layer_accuracy == reference.layer_accuracy
+        assert fused.search_curves == reference.search_curves
+
+    def test_padded_entry_with_negative_candidates_identical(self):
+        """A padded entry conv sees zero *bits* in its padding, which
+        never fire, even at a candidate below zero."""
+        from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
+        from repro.nn.network import Sequential
+
+        gen = np.random.default_rng(3)
+        network = Sequential(
+            [
+                Conv2D(1, 4, 5, use_bias=False, rng=gen),
+                ReLU(),
+                MaxPool2D(2),
+                Conv2D(4, 8, 3, padding=1, use_bias=False, rng=gen),
+                ReLU(),
+                MaxPool2D(2),
+                Flatten(),
+                Dense(8 * 36, 10, rng=gen),
+            ],
+            (1, 28, 28),
+        )
+        images = np.random.default_rng(0).random((64, 1, 28, 28))
+        labels = np.random.default_rng(1).integers(0, 10, 64)
+        config = dict(thres_min=-0.1, thres_max=0.2, search_step=0.02)
+        fused = search_thresholds(
+            network, images, labels, SearchConfig(engine="fused", **config)
+        )
+        reference = search_thresholds(
+            network, images, labels,
+            SearchConfig(engine="reference", **config),
+        )
+        assert fused.search_curves == reference.search_curves
+        assert fused.thresholds == reference.thresholds
+
+    def test_scan_counters_count_switched_rows(
+        self, trained_tiny_network, tiny_dataset
+    ):
+        """``scan_rows_rescored`` is every row once at the first
+        candidate plus one rescore per distinct (row, level) pair."""
+        from repro import obs
+        from repro.core import threshold_search as ts
+
+        net = trained_tiny_network
+        images = tiny_dataset["train_x"][:32]
+        labels = tiny_dataset["train_y"][:32]
+        candidates = SearchConfig(thres_max=0.3, search_step=0.02).candidates()
+        pre_acts = ts._collect_pre_activations(net, images, {}, 0, 256)
+        pre_acts = pre_acts / pre_acts.max()
+        with obs.recording() as rec:
+            ts._search_by_accuracy(
+                net, pre_acts, labels, 0, candidates, 256, {},
+                engine="fused",
+            )
+        counters = rec.metrics.as_dict()["counters"]
+
+        levels = ts._plan_fused_scan(net, pre_acts, 0, candidates).levels
+        count = len(candidates)
+        pairs = {
+            (row, int(level))
+            for row, row_levels in enumerate(levels)
+            for level in row_levels
+            if 0 < level < count
+        }
+        assert counters["search/scan_rows"] == len(levels) * count
+        assert counters["search/scan_rows_rescored"] == (
+            len(pairs) + len(levels)
+        )
+        assert (
+            counters["search/scan_rows_rescored"]
+            <= counters["search/scan_rows"]
+        )
 
 
 class TestEnsureBinary:

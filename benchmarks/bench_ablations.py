@@ -15,6 +15,7 @@ import pytest
 
 from repro.arch import format_table
 from repro.core import (
+    HardwareConfig,
     SearchConfig,
     SplitConfig,
     build_split_network,
@@ -199,7 +200,8 @@ def test_ablation_final_layer_merge(benchmark, quantized_models, dataset):
                 qm.search.thresholds,
                 dataset.train.images,
                 dataset.train.labels,
-                SplitConfig(max_crossbar_size=512, final_layer_mode=mode),
+                SplitConfig(final_layer_mode=mode),
+                HardwareConfig(max_crossbar_size=512, homogenize_iterations=3000),
             )
             err = result.binarized.error_rate(
                 dataset.test.images, dataset.test.labels

@@ -22,7 +22,7 @@ import pytest
 
 from repro.analysis import error_rate_pct, summarize_range
 from repro.arch import format_table
-from repro.core import SplitConfig, build_split_network
+from repro.core import HardwareConfig, SplitConfig, build_split_network
 
 from benchmarks.conftest import heading
 
@@ -35,13 +35,18 @@ def run_table4(quantized_models, dataset, crossbar_size):
     train_x, train_y = dataset.train.images, dataset.train.labels
     test_x, test_y = dataset.test.images, dataset.test.labels
 
-    def split_error(**config_kwargs):
+    def split_error(dynamic=False, **hardware_kwargs):
         result = build_split_network(
             net,
             thresholds,
             train_x,
             train_y,
-            SplitConfig(max_crossbar_size=crossbar_size, **config_kwargs),
+            SplitConfig(dynamic=dynamic),
+            HardwareConfig(
+                max_crossbar_size=crossbar_size,
+                homogenize_iterations=3000,
+                **hardware_kwargs,
+            ),
         )
         return result.binarized.error_rate(test_x, test_y), result
 
@@ -51,7 +56,7 @@ def run_table4(quantized_models, dataset, crossbar_size):
         random_errors.append(err)
 
     homog_err, homog_result = split_error(partition_method="homogenize")
-    dyn_err, _ = split_error(partition_method="homogenize", dynamic=True)
+    dyn_err, _ = split_error(dynamic=True, partition_method="homogenize")
 
     return {
         "float": qm.float_test_error,

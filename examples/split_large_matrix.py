@@ -10,17 +10,21 @@ Run:  python examples/split_large_matrix.py
 """
 
 from repro.arch import format_table
-from repro.core import SplitConfig, build_split_network
+from repro.core import HardwareConfig, SplitConfig, build_split_network
 from repro.zoo import get_dataset, get_quantized
 
 
-def split_error(model, dataset, **kwargs):
+def split_error(model, dataset, dynamic=False, **hardware_kwargs):
+    """Test error of network1 split onto 512-row crossbars."""
     result = build_split_network(
         model.search.network,
         model.search.thresholds,
         dataset.train.images,
         dataset.train.labels,
-        SplitConfig(max_crossbar_size=512, **kwargs),
+        SplitConfig(dynamic=dynamic),
+        HardwareConfig(
+            max_crossbar_size=512, homogenize_iterations=3000, **hardware_kwargs
+        ),
     )
     error = result.binarized.error_rate(
         dataset.test.images, dataset.test.labels

@@ -48,6 +48,7 @@ from repro.arch import (
     table5_rows,
 )
 from repro.configs import NETWORK_SPECS, get_network_spec
+from repro.core.hardware_network import PARTITION_METHODS
 
 __all__ = ["main", "build_parser"]
 
@@ -172,9 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     split.add_argument("network", choices=sorted(NETWORK_SPECS))
     split.add_argument("--crossbar", type=int, default=512)
     split.add_argument(
-        "--method",
-        choices=("natural", "random", "homogenize"),
-        default="homogenize",
+        "--method", choices=PARTITION_METHODS, default="homogenize"
     )
     split.add_argument("--dynamic", action="store_true")
 
@@ -752,7 +751,7 @@ def _cmd_quantize(args) -> None:
 
 
 def _cmd_split(args) -> None:
-    from repro.core import SplitConfig, build_split_network
+    from repro.core import HardwareConfig, SplitConfig, build_split_network
     from repro.zoo import get_dataset, get_quantized
 
     dataset = get_dataset()
@@ -762,10 +761,11 @@ def _cmd_split(args) -> None:
         model.search.thresholds,
         dataset.train.images,
         dataset.train.labels,
-        SplitConfig(
+        SplitConfig(dynamic=args.dynamic),
+        HardwareConfig(
             max_crossbar_size=args.crossbar,
             partition_method=args.method,
-            dynamic=args.dynamic,
+            homogenize_iterations=3000,
         ),
     )
     error = result.binarized.error_rate(

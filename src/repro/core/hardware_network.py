@@ -48,7 +48,12 @@ from repro.nn.network import Sequential
 
 from repro.core.binarized import BinarizedNetwork
 from repro.core.estimate import EstimatorPolicy, SkipPass
-from repro.core.homogenize import Partition, homogenize, natural_partition
+from repro.core.homogenize import (
+    Partition,
+    homogenize,
+    natural_partition,
+    random_partition,
+)
 from repro.core.integer_gemm import certify, firing_kernel, integer_layer
 from repro.core.matrix_compute import (
     LayerKernel,
@@ -70,6 +75,7 @@ from repro.core.splitting import (
 
 __all__ = [
     "HardwareConfig",
+    "split_partition",
     "HardwareSplitMatrix",
     "DacCrossbar",
     "assemble_sei_network",
@@ -77,27 +83,42 @@ __all__ = [
 ]
 
 
+#: Row orders a split layer can take (§4.3 / Table 4).
+PARTITION_METHODS = ("natural", "random", "homogenize")
+
+#: Engines that compile onto SEI crossbars, and so take the calibrated
+#: split decisions of :func:`repro.core.pipeline.build_split_network`.
+SEI_ENGINES = ("fused", "packed", "reference")
+
+
 @dataclass(frozen=True)
 class HardwareConfig:
-    """Device/fabric parameters for full-hardware assembly."""
+    """Device/fabric parameters for full-hardware assembly.
+
+    The one description of the §4.3 split geometry: the compiled engines
+    and the software split flow both partition through
+    :func:`split_partition` under this config.
+    """
 
     device: RRAMDevice = RRAMDevice(bits=4)
     weight_bits: int = 8
     max_crossbar_size: int = 512
     ir_drop_lambda: float = 0.0
-    #: Partition choice for split layers: 'natural' or 'homogenize'.
+    #: Row order of split layers: one of :data:`PARTITION_METHODS`.
     partition_method: str = "homogenize"
     homogenize_iterations: int = 2000
+    #: Seeds the cell programming, the homogenization search and the
+    #: random row orders (each from its own stream).
     seed: int = 0
     #: Optional aging behaviour; None (or all-off) keeps every
     #: DeviceArray static — bit-identical to historical behaviour.
     temporal: Optional[TemporalConfig] = None
 
     def __post_init__(self) -> None:
-        if self.partition_method not in ("natural", "homogenize"):
+        if self.partition_method not in PARTITION_METHODS:
             raise ConfigurationError(
-                "partition_method must be 'natural' or 'homogenize', got "
-                f"{self.partition_method!r}"
+                f"partition_method must be one of {PARTITION_METHODS}, "
+                f"got {self.partition_method!r}"
             )
         if self.homogenize_iterations < 0:
             raise ConfigurationError(
@@ -119,6 +140,41 @@ class HardwareConfig:
                 f"weight_bits must be a positive multiple of the device's "
                 f"{self.device.bits}-bit cells, got {self.weight_bits}"
             )
+
+    @property
+    def cells_per_weight(self) -> int:
+        """SEI cells per weight: positive and negative bit slices (4 for
+        signed 8-bit weights on 4-bit cells)."""
+        return 2 * (self.weight_bits // self.device.bits)
+
+
+def split_partition(
+    matrix: np.ndarray, hardware: HardwareConfig, rng: np.random.Generator
+) -> Optional[Partition]:
+    """The row partition of ``matrix`` on ``hardware``'s crossbars.
+
+    ``None`` when the layer's SEI image fits one crossbar; otherwise
+    :func:`repro.core.splitting.required_blocks` blocks in the natural,
+    random or homogenized row order.  ``rng`` draws only the random
+    orders: a network build seeds one ``default_rng(hardware.seed)`` and
+    asks layer by layer, so the orders never depend on the
+    cell-programming stream.
+    """
+    blocks = required_blocks(
+        matrix.shape[0], hardware.max_crossbar_size, hardware.cells_per_weight
+    )
+    if blocks <= 1:
+        return None
+    if hardware.partition_method == "natural":
+        return natural_partition(matrix.shape[0], blocks)
+    if hardware.partition_method == "random":
+        return random_partition(matrix.shape[0], blocks, rng)
+    return homogenize(
+        matrix,
+        blocks,
+        iterations=hardware.homogenize_iterations,
+        seed=hardware.seed,
+    )
 
 
 class HardwareSplitMatrix(SplitMatrix):
@@ -302,11 +358,12 @@ def assemble_sei_network(
 
     ``decisions``/``partitions`` override the split configuration per
     layer index (pass the calibrated ones from
-    :func:`repro.core.pipeline.build_split_network`); defaults are
-    ``T/K`` static thresholds with a majority vote and the config's
-    partition method.  The final classifier merges its blocks in analog
-    (current summing into the WTA readout), matching the pipeline
-    default.
+    :func:`repro.core.pipeline.build_split_network` run under this same
+    :class:`HardwareConfig`, whose partitions are then the ones chosen
+    here); defaults are ``T/K`` static thresholds with a majority vote
+    and the :func:`split_partition` of the config.  The final classifier
+    merges its blocks in analog (current summing into the WTA readout),
+    matching the pipeline default.
 
     ``engine`` selects the crossbar arithmetic as a
     :class:`repro.core.engines.EngineSpec` (in which case ``config``
@@ -327,7 +384,7 @@ def assemble_sei_network(
     spec = resolve_engine(
         engine,
         hardware=config,
-        allowed=("fused", "packed", "reference"),
+        allowed=SEI_ENGINES,
         caller="assemble_sei_network",
     )
     config = spec.hardware
@@ -399,6 +456,7 @@ def lower_sei_network(
     decisions = decisions if decisions is not None else {}
     partitions = partitions if partitions is not None else {}
     rng = rng if rng is not None else np.random.default_rng(config.seed)
+    partition_rng = np.random.default_rng(config.seed)
 
     binarized = BinarizedNetwork(network, dict(thresholds))
     # Per-layer assembly record: which hardware structure each weighted
@@ -433,10 +491,6 @@ def lower_sei_network(
         matrix = layer_weight_matrix(layer)
         record = {"layer": layer, "threshold": thresholds.get(index)}
         hardware_layers[index] = record
-        cells_per_weight = 2 * (config.weight_bits // config.device.bits)
-        blocks = required_blocks(
-            matrix.shape[0], config.max_crossbar_size, cells_per_weight
-        )
 
         if index == weighted[0]:
             # §3.2: the input layer stays DAC-driven (analog voltages on
@@ -450,23 +504,14 @@ def lower_sei_network(
             device_arrays[f"layer{index}"] = dac.array
             continue
 
-        if blocks <= 1:
+        chosen = split_partition(matrix, config, partition_rng)
+        if chosen is None:
             unsplit = crossbar(matrix)
             record.update(kind="unsplit", crossbar=unsplit)
             device_arrays[f"layer{index}"] = unsplit.array
             continue
-
-        partition = partitions.get(index)
-        if partition is None:
-            if config.partition_method == "homogenize":
-                partition = homogenize(
-                    matrix,
-                    blocks,
-                    iterations=config.homogenize_iterations,
-                    seed=config.seed,
-                )
-            else:
-                partition = natural_partition(matrix.shape[0], blocks)
+        blocks = chosen.num_blocks
+        partition = partitions.get(index, chosen)
 
         if index == final_index:
             # Analog merge: per-block crossbars, currents summed into the

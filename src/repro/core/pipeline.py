@@ -3,13 +3,15 @@
 This module glues the pieces of §4.3 together:
 
 1. decide, per weighted layer, how many row blocks the SEI image needs
-   (:func:`repro.core.splitting.required_blocks`);
-2. choose the row partition (natural / random / homogenized);
-3. calibrate the digital decision — block thresholds (static ``T/K`` or
+   and choose their row partition (natural / random / homogenized) —
+   :func:`repro.core.hardware_network.split_partition`, the chooser the
+   compiled engines use, under the same
+   :class:`~repro.core.hardware_network.HardwareConfig`;
+2. calibrate the digital decision — block thresholds (static ``T/K`` or
    dynamic ``c0 + c1 * ones``), the vote count V, and for the final
    classifier its class threshold — greedily, layer by layer, on the
    training set (the same greedy protocol as Algorithm 1);
-4. install the split computes into a :class:`BinarizedNetwork`.
+3. install the split computes into a :class:`BinarizedNetwork`.
 
 The result is the network Table 4 evaluates: 1-bit quantized *and* split
 across size-limited crossbars with purely digital merging.
@@ -18,7 +20,7 @@ across size-limited crossbars with purely digital merging.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,12 +31,11 @@ from repro.nn.losses import accuracy
 from repro.nn.network import Sequential
 
 from repro.core.binarized import BinarizedNetwork
+from repro.core.hardware_network import HardwareConfig, split_partition
 from repro.core.homogenize import (
     Partition,
     block_mean_distance,
-    homogenize,
     natural_partition,
-    random_partition,
 )
 from repro.core.matrix_compute import (
     RowPlan,
@@ -47,7 +48,6 @@ from repro.core.splitting import (
     SplitDecision,
     SplitMatrix,
     final_layer_vote_compute,
-    required_blocks,
     split_layer_compute,
 )
 
@@ -56,21 +56,18 @@ __all__ = ["SplitConfig", "SplitLayerReport", "SplitNetworkResult", "build_split
 
 @dataclass(frozen=True)
 class SplitConfig:
-    """Configuration of the splitting flow."""
+    """What the split calibration adds to the hardware's split geometry.
 
-    max_crossbar_size: int = 512
-    #: SEI cells per weight (4 = signed 8-bit weights on 4-bit cells).
-    cells_per_weight: int = 4
-    #: 'natural' | 'random' | 'homogenize'
-    partition_method: str = "homogenize"
+    Crossbar size, cells per weight, row partitioning and seed are the
+    :class:`~repro.core.hardware_network.HardwareConfig`'s.
+    """
+
     #: Enable the dynamic (ones-count) block thresholds of §4.2/§4.3.
     dynamic: bool = False
     #: Candidate gamma values for the dynamic threshold interval.
     gamma_grid: Sequence[float] = (0.25, 0.5, 0.75, 1.0)
     #: Search the vote count V on the training set (else majority).
     vote_search: bool = True
-    #: Hill-climbing iterations for homogenization.
-    homogenize_iterations: int = 3000
     #: Number of candidate class thresholds for the final layer.
     final_threshold_grid: int = 24
     #: How a split *final classifier* merges its blocks:
@@ -82,19 +79,8 @@ class SplitConfig:
     final_layer_mode: str = "analog"
     #: Samples from the training set used for calibration.
     calibration_samples: int = 1000
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.partition_method not in ("natural", "random", "homogenize"):
-            raise ConfigurationError(
-                "partition_method must be 'natural', 'random' or "
-                f"'homogenize', got {self.partition_method!r}"
-            )
-        if self.homogenize_iterations < 0:
-            raise ConfigurationError(
-                "homogenize_iterations must be non-negative, got "
-                f"{self.homogenize_iterations}"
-            )
         if self.final_layer_mode not in ("analog", "vote"):
             raise ConfigurationError(
                 "final_layer_mode must be 'analog' or 'vote', got "
@@ -125,10 +111,6 @@ class SplitNetworkResult:
     binarized: BinarizedNetwork
     reports: Dict[int, SplitLayerReport] = field(default_factory=dict)
 
-    @property
-    def split_layers(self) -> List[int]:
-        return sorted(self.reports)
-
 
 def build_split_network(
     network: Sequential,
@@ -136,6 +118,7 @@ def build_split_network(
     images: np.ndarray,
     labels: np.ndarray,
     config: Optional[SplitConfig] = None,
+    hardware: Optional[HardwareConfig] = None,
 ) -> SplitNetworkResult:
     """Split every oversized layer of a quantized network (see module doc).
 
@@ -148,9 +131,17 @@ def build_split_network(
         Per-layer quantization thresholds from Algorithm 1.
     images, labels:
         Training data for calibration (subset taken per the config).
+    config:
+        The calibration options (default :class:`SplitConfig`).
+    hardware:
+        The crossbars: size, cells per weight, row partitioning and seed
+        (default :class:`HardwareConfig`).  Each layer's partition is
+        the one :func:`repro.core.engines.compile_network` picks under
+        the same config, so the calibrated decisions compile onto it.
     """
     config = config if config is not None else SplitConfig()
-    rng = np.random.default_rng(config.seed)
+    hardware = hardware if hardware is not None else HardwareConfig()
+    rng = np.random.default_rng(hardware.seed)
     subset = min(config.calibration_samples, len(images))
     cal_images = images[:subset]
     cal_labels = labels[:subset]
@@ -168,25 +159,22 @@ def build_split_network(
     with obs.span(
         "split.build",
         layers=len(weighted),
-        method=config.partition_method,
+        method=hardware.partition_method,
         samples=subset,
     ) as build_sp:
         for layer_index in weighted:
             layer = network.layers[layer_index]
             matrix = layer_weight_matrix(layer)
-            blocks = required_blocks(
-                matrix.shape[0], config.max_crossbar_size,
-                config.cells_per_weight,
-            )
-            if blocks <= 1:
+            partition = split_partition(matrix, hardware, rng)
+            if partition is None:
                 obs.count("split/layers_unsplit")
                 continue
             obs.count("split/layers_split")
+            blocks = partition.num_blocks
 
             with obs.span(
                 "split.layer", index=layer_index, blocks=blocks
             ) as layer_sp:
-                partition = _choose_partition(matrix, blocks, config, rng)
                 is_final = layer_index == final_index
                 layer_sp.set("is_final", is_final)
 
@@ -195,77 +183,51 @@ def build_split_network(
                     # readout: functionally exact, so no compute hook is
                     # installed; the report still records the physical
                     # split.
-                    result.reports[layer_index] = SplitLayerReport(
-                        layer_index=layer_index,
-                        num_blocks=blocks,
-                        partition=partition,
-                        decision=SplitDecision(
-                            block_threshold=0.0, vote_threshold=1
-                        ),
-                        distance=block_mean_distance(matrix, partition),
-                        natural_distance=block_mean_distance(
-                            matrix,
-                            natural_partition(matrix.shape[0], blocks),
-                        ),
-                        calibration_accuracy=float("nan"),
-                        is_final=True,
+                    decision = SplitDecision(
+                        block_threshold=0.0, vote_threshold=1
                     )
+                    cal_acc = float("nan")
                     layer_sp.set("merge", "analog")
-                    continue
-
-                input_bits, fold = _layer_input_bits(
-                    binarized, layer_index, cal_images
-                )
-
-                if is_final:
-                    decision, cal_acc = _calibrate_final_layer(
-                        binarized,
-                        layer_index,
-                        matrix,
-                        partition,
-                        input_bits,
-                        fold,
-                        cal_images,
-                        cal_labels,
-                        config,
-                    )
-                    split = SplitMatrix(
-                        matrix, partition, decision, bias=layer_bias(layer)
-                    )
-                    binarized.layer_computes[layer_index] = (
-                        final_layer_vote_compute(
-                            layer,
-                            split,
-                            obs_index=layer_index,
-                            cells_per_weight=config.cells_per_weight,
-                        )
-                    )
                 else:
-                    decision, cal_acc = _calibrate_hidden_layer(
-                        binarized,
-                        layer_index,
-                        matrix,
-                        partition,
-                        thresholds[layer_index],
-                        input_bits,
-                        fold,
-                        cal_images,
-                        cal_labels,
-                        config,
+                    input_bits, fold = _layer_input_bits(
+                        binarized, layer_index, cal_images
                     )
+                    if is_final:
+                        decision, cal_acc = _calibrate_final_layer(
+                            binarized,
+                            layer_index,
+                            matrix,
+                            partition,
+                            input_bits,
+                            fold,
+                            cal_labels,
+                            config,
+                        )
+                        make_compute = final_layer_vote_compute
+                    else:
+                        decision, cal_acc = _calibrate_hidden_layer(
+                            binarized,
+                            layer_index,
+                            matrix,
+                            partition,
+                            thresholds[layer_index],
+                            input_bits,
+                            fold,
+                            cal_labels,
+                            config,
+                        )
+                        make_compute = split_layer_compute
                     split = SplitMatrix(
                         matrix, partition, decision, bias=layer_bias(layer)
                     )
-                    binarized.layer_computes[layer_index] = (
-                        split_layer_compute(
-                            layer,
-                            split,
-                            obs_index=layer_index,
-                            cells_per_weight=config.cells_per_weight,
-                        )
+                    binarized.layer_computes[layer_index] = make_compute(
+                        layer,
+                        split,
+                        obs_index=layer_index,
+                        cells_per_weight=hardware.cells_per_weight,
                     )
-                layer_sp.set("calibration_accuracy", cal_acc)
-                layer_sp.set("vote_threshold", decision.vote_threshold)
+                    layer_sp.set("calibration_accuracy", cal_acc)
+                    layer_sp.set("vote_threshold", decision.vote_threshold)
 
                 result.reports[layer_index] = SplitLayerReport(
                     layer_index=layer_index,
@@ -285,25 +247,6 @@ def build_split_network(
 
 
 # -- internals -----------------------------------------------------------------
-
-
-def _choose_partition(
-    matrix: np.ndarray,
-    blocks: int,
-    config: SplitConfig,
-    rng: np.random.Generator,
-) -> Partition:
-    if config.partition_method == "natural":
-        return natural_partition(matrix.shape[0], blocks)
-    if config.partition_method == "random":
-        return random_partition(matrix.shape[0], blocks, rng)
-    return homogenize(
-        matrix,
-        blocks,
-        method="hillclimb",
-        iterations=config.homogenize_iterations,
-        seed=config.seed,
-    )
 
 
 def _layer_input_bits(
@@ -356,7 +299,6 @@ def _calibrate_hidden_layer(
     layer_threshold: float,
     input_bits: np.ndarray,
     fold,
-    cal_images: np.ndarray,
     cal_labels: np.ndarray,
     config: SplitConfig,
 ) -> Tuple[SplitDecision, float]:
@@ -416,7 +358,6 @@ def _calibrate_final_layer(
     partition: Partition,
     input_bits: np.ndarray,
     fold,
-    cal_images: np.ndarray,
     cal_labels: np.ndarray,
     config: SplitConfig,
 ) -> Tuple[SplitDecision, float]:

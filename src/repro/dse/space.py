@@ -134,13 +134,6 @@ class ParameterSpace:
     def has_random_axes(self) -> bool:
         return any(isinstance(a, RandomAxis) for a in self.axes)
 
-    def grid_size(self) -> int:
-        """Upper bound on grid assignments (before conditions/constraints)."""
-        size = 1
-        for axis in self.axes:
-            size *= axis.arity()
-        return size
-
     def configs(self, seed: int = 0) -> Iterator[Dict[str, Any]]:
         """Yield candidate configurations in deterministic order.
 

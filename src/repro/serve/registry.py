@@ -164,11 +164,6 @@ class WarmRegistry:
             )
         return [self.get(key) for key in keys]
 
-    def invalidate(self, key: str) -> bool:
-        """Drop one entry (returns whether it was resident)."""
-        with self._lock:
-            return self._entries.pop(key, None) is not None
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()

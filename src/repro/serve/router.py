@@ -155,11 +155,6 @@ class ConsistentRouter:
                 index = 0
             return self._ring[self._points[index]]
 
-    def route_many(
-        self, keys: Sequence[Union[str, bytes]]
-    ) -> List[str]:
-        return [self.route(key) for key in keys]
-
     def ownership(
         self, keys: Sequence[Union[str, bytes]]
     ) -> Dict[str, int]:

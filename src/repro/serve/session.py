@@ -47,7 +47,8 @@ import numpy as np
 from repro import obs, zoo
 from repro.core.engines import EngineSpec, compile_network
 from repro.core.binarized import BinarizedNetwork
-from repro.core.pipeline import SplitConfig, build_split_network
+from repro.core.hardware_network import SEI_ENGINES
+from repro.core.pipeline import build_split_network
 from repro.core.threshold_search import SearchConfig
 from repro.errors import ConfigurationError, ShapeError
 from repro.hw.array import ArrayHealth, DeviceArray
@@ -73,7 +74,11 @@ logger = obs.get_logger("serve")
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Everything that defines one compiled inference session."""
+    """Everything that defines one compiled inference session.
+
+    The crossbars, split geometry included, are ``engine.hardware``'s;
+    ``calibrate_splits`` adds only the calibrated block decisions.
+    """
 
     #: Zoo network name (``network1`` | ``network2`` | ``network3``).
     network: str = "network2"
@@ -85,10 +90,9 @@ class SessionConfig:
     #: for the Table 2 networks.
     tile: int = 16
     #: Run the §4.3 split calibration (:func:`build_split_network`) on
-    #: training data and compile with the calibrated block decisions.
+    #: training data, partitioned for ``engine.hardware``, and compile
+    #: with the calibrated block decisions (SEI engines only).
     calibrate_splits: bool = False
-    #: Split-calibration parameters (only read when ``calibrate_splits``).
-    split: Optional[SplitConfig] = None
     #: Algorithm 1 configuration for the quantized artefacts.
     search: Optional[SearchConfig] = None
     #: Model cache location override.
@@ -106,6 +110,12 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.tile < 1:
             raise ConfigurationError(f"tile must be >= 1, got {self.tile}")
+        if self.calibrate_splits and self.engine.name not in SEI_ENGINES:
+            raise ConfigurationError(
+                "calibrate_splits calibrates SEI block votes; the "
+                f"{self.engine.name!r} engine takes none (use one of "
+                f"{', '.join(SEI_ENGINES)})"
+            )
         if self.age_per_batch < 0:
             raise ConfigurationError(
                 f"age_per_batch must be >= 0, got {self.age_per_batch}"
@@ -533,7 +543,7 @@ def compile_session(
                     model.search.thresholds,
                     data.train.images,
                     data.train.labels,
-                    config.split,
+                    hardware=config.engine.hardware,
                 )
                 decisions = {
                     i: r.decision for i, r in split.reports.items()

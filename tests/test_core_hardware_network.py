@@ -11,6 +11,7 @@ from repro.core import (
     assemble_sei_network,
     natural_partition,
 )
+from repro.core.hardware_network import PARTITION_METHODS
 from repro.errors import ConfigurationError, ShapeError
 from repro.hw import RRAMDevice
 from tests.conftest import unfold_oracle
@@ -18,8 +19,16 @@ from tests.conftest import unfold_oracle
 
 class TestHardwareConfig:
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            HardwareConfig(partition_method="random")
+        with pytest.raises(ConfigurationError, match="partition_method"):
+            HardwareConfig(partition_method="sorted")
+
+    @pytest.mark.parametrize("method", PARTITION_METHODS)
+    def test_every_partition_method_accepted(self, method):
+        assert HardwareConfig(partition_method=method).partition_method == method
+
+    def test_cells_per_weight_derived_from_the_cells(self):
+        assert HardwareConfig().cells_per_weight == 4
+        assert HardwareConfig(device=RRAMDevice(bits=2)).cells_per_weight == 8
 
     def test_negative_homogenize_iterations_rejected(self):
         with pytest.raises(ConfigurationError, match="homogenize_iterations"):

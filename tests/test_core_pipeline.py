@@ -3,14 +3,28 @@
 import numpy as np
 import pytest
 
-from repro.core import SplitConfig, build_split_network
+from repro import api
+from repro.core import (
+    EngineSpec,
+    HardwareConfig,
+    SplitConfig,
+    build_split_network,
+    compile_network,
+)
 from repro.errors import ConfigurationError
+from repro.hw import RRAMDevice
+from repro.serve import SessionConfig
+from repro.zoo import get_dataset
 
 
 class TestSplitConfig:
+    # Row partitioning is the hardware's: the split flow reads it from the
+    # HardwareConfig it is given, and SplitConfig has no copy of it.
     def test_invalid_partition_method(self):
-        with pytest.raises(ConfigurationError):
-            SplitConfig(partition_method="sorted")
+        with pytest.raises(ConfigurationError, match="partition_method"):
+            HardwareConfig(partition_method="sorted")
+        with pytest.raises(TypeError):
+            SplitConfig(partition_method="homogenize")
 
     def test_invalid_final_mode(self):
         with pytest.raises(ConfigurationError):
@@ -18,7 +32,9 @@ class TestSplitConfig:
 
     def test_negative_homogenize_iterations_rejected(self):
         with pytest.raises(ConfigurationError, match="homogenize_iterations"):
-            SplitConfig(homogenize_iterations=-1)
+            HardwareConfig(homogenize_iterations=-1)
+        with pytest.raises(TypeError):
+            SplitConfig(homogenize_iterations=10)
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +50,7 @@ class TestBuildSplitNetwork:
             tiny_quantized.thresholds,
             tiny_dataset["train_x"],
             tiny_dataset["train_y"],
-            SplitConfig(max_crossbar_size=4096),
+            hardware=HardwareConfig(max_crossbar_size=4096),
         )
         assert result.reports == {}
         assert result.binarized.layer_computes == {}
@@ -46,7 +62,7 @@ class TestBuildSplitNetwork:
             tiny_quantized.thresholds,
             tiny_dataset["train_x"],
             tiny_dataset["train_y"],
-            SplitConfig(max_crossbar_size=256),
+            hardware=HardwareConfig(max_crossbar_size=256),
         )
         assert set(result.reports) == {3, 7}
         assert result.reports[3].num_blocks == 2
@@ -61,7 +77,8 @@ class TestBuildSplitNetwork:
             tiny_quantized.thresholds,
             tiny_dataset["train_x"],
             tiny_dataset["train_y"],
-            SplitConfig(max_crossbar_size=256, final_layer_mode="analog"),
+            SplitConfig(final_layer_mode="analog"),
+            HardwareConfig(max_crossbar_size=256),
         )
         # conv2 gets a compute hook; the final layer does not (analog WTA).
         assert 3 in result.binarized.layer_computes
@@ -75,7 +92,8 @@ class TestBuildSplitNetwork:
             tiny_quantized.thresholds,
             tiny_dataset["train_x"],
             tiny_dataset["train_y"],
-            SplitConfig(max_crossbar_size=256, final_layer_mode="vote"),
+            SplitConfig(final_layer_mode="vote"),
+            HardwareConfig(max_crossbar_size=256),
         )
         assert 7 in result.binarized.layer_computes
         report = result.reports[7]
@@ -92,7 +110,7 @@ class TestBuildSplitNetwork:
             tiny_quantized.thresholds,
             tiny_dataset["train_x"],
             tiny_dataset["train_y"],
-            SplitConfig(max_crossbar_size=256),
+            hardware=HardwareConfig(max_crossbar_size=256),
         )
         split_err = result.binarized.error_rate(
             tiny_dataset["test_x"], tiny_dataset["test_y"]
@@ -107,7 +125,9 @@ class TestBuildSplitNetwork:
             tiny_quantized.thresholds,
             tiny_dataset["train_x"],
             tiny_dataset["train_y"],
-            SplitConfig(max_crossbar_size=256, partition_method="homogenize"),
+            hardware=HardwareConfig(
+                max_crossbar_size=256, partition_method="homogenize"
+            ),
         )
         for report in result.reports.values():
             assert report.distance <= report.natural_distance + 1e-12
@@ -120,7 +140,8 @@ class TestBuildSplitNetwork:
             tiny_quantized.thresholds,
             tiny_dataset["train_x"],
             tiny_dataset["train_y"],
-            SplitConfig(max_crossbar_size=256, dynamic=True),
+            SplitConfig(dynamic=True),
+            HardwareConfig(max_crossbar_size=256),
         )
         for index, report in result.reports.items():
             if not report.is_final:
@@ -134,7 +155,7 @@ class TestBuildSplitNetwork:
                 tiny_quantized.thresholds,
                 tiny_dataset["train_x"][:64],
                 tiny_dataset["train_y"][:64],
-                SplitConfig(
+                hardware=HardwareConfig(
                     max_crossbar_size=256,
                     partition_method="random",
                     seed=seed,
@@ -150,7 +171,92 @@ class TestBuildSplitNetwork:
             tiny_quantized.thresholds,
             tiny_dataset["train_x"],
             tiny_dataset["train_y"],
-            SplitConfig(max_crossbar_size=256),
+            hardware=HardwareConfig(max_crossbar_size=256),
         )
         for report in result.reports.values():
             assert 1 <= report.decision.vote_threshold <= report.num_blocks
+
+
+def compiled_partitions(binarized):
+    """Row orders of a compiled network's split and analog-merge layers."""
+    return {
+        index: (record.get("partition") or record["matrix"].partition).order
+        for index, record in binarized.hardware_layers.items()
+        if record["kind"] in ("split", "analog_merge")
+    }
+
+
+class TestOnePartitionChooser:
+    @pytest.mark.parametrize("method", ["natural", "random", "homogenize"])
+    def test_split_flow_and_compiler_pick_the_same_partitions(
+        self, method, tiny_quantized, tiny_dataset
+    ):
+        # Programming variation draws from the cell-programming stream,
+        # which the random row orders must not share.
+        hardware = HardwareConfig(
+            device=RRAMDevice(program_sigma=0.05),
+            max_crossbar_size=256,
+            partition_method=method,
+            seed=5,
+        )
+        result = build_split_network(
+            tiny_quantized.network,
+            tiny_quantized.thresholds,
+            tiny_dataset["train_x"][:64],
+            tiny_dataset["train_y"][:64],
+            hardware=hardware,
+        )
+        compiled = compiled_partitions(
+            compile_network(
+                tiny_quantized.network,
+                tiny_quantized.thresholds,
+                EngineSpec(hardware=hardware),
+            )
+        )
+        assert sorted(compiled) == sorted(result.reports) == [3, 7]
+        for index, report in result.reports.items():
+            np.testing.assert_array_equal(
+                report.partition.order, compiled[index]
+            )
+        natural = [
+            np.array_equal(order, np.arange(len(order)))
+            for order in compiled.values()
+        ]
+        assert all(natural) == (method == "natural")
+        if method == "random":
+            # The first split layer takes the first draw of its own stream.
+            np.testing.assert_array_equal(
+                compiled[3], np.random.default_rng(5).permutation(100)
+            )
+
+
+class TestCalibratedSessions:
+    @pytest.mark.parametrize("rows", [512, 256, 128])
+    def test_calibration_compiles_at_every_crossbar_size(self, rows):
+        """Calibration partitions for the engine's own crossbars, so each
+        calibrated session compiles onto exactly the plain partitions."""
+        engine = EngineSpec(hardware=HardwareConfig(max_crossbar_size=rows))
+        plain, calibrated = (
+            api.compile(
+                "network2",
+                engine=engine,
+                calibrate_splits=calibrate,
+                reuse=False,
+            )
+            for calibrate in (False, True)
+        )
+        expected = compiled_partitions(plain.hardware)
+        got = compiled_partitions(calibrated.hardware)
+        assert expected and sorted(got) == sorted(expected)
+        for index, order in expected.items():
+            np.testing.assert_array_equal(got[index], order)
+        images = get_dataset().test.images[:8]
+        assert calibrated.infer_batch(images).shape == (8, 10)
+
+    def test_non_sei_engine_rejected_before_calibrating(self):
+        with pytest.raises(ConfigurationError, match="calibrate_splits"):
+            SessionConfig(
+                network="network1",
+                engine=EngineSpec(name="adc"),
+                calibrate_splits=True,
+            )

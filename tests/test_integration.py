@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import (
     BinarizedNetwork,
-    SplitConfig,
+    HardwareConfig,
     build_split_network,
     dynamic_threshold_layer_compute,
     sei_layer_compute,
@@ -75,7 +75,9 @@ class TestFullPipeline:
                 tiny_quantized.thresholds,
                 tiny_dataset["train_x"],
                 tiny_dataset["train_y"],
-                SplitConfig(max_crossbar_size=256, partition_method=method),
+                hardware=HardwareConfig(
+                    max_crossbar_size=256, partition_method=method
+                ),
             )
             errors[method] = result.binarized.error_rate(
                 tiny_dataset["test_x"], tiny_dataset["test_y"]

@@ -8,7 +8,8 @@ Drives the ``repro.serve`` stack end to end on a warm network2 session
   the way a naive request loop would use the pipeline;
 * **micro-batched** — the same requests submitted concurrently from
   several client threads through a :class:`repro.serve.MicroBatcher`,
-  which coalesces them into size/deadline-bounded batches;
+  whose free workers each take whatever is queued (up to the batch
+  size) and run it;
 * **sharded gateway** — closed-loop saturation throughput of the
   :class:`repro.serve.AsyncGateway` at 1/(2/)4 shards over a tenant
   with a calibrated per-batch service time, plus an open-loop bursty
@@ -117,7 +118,6 @@ def bench_serve(quick: bool) -> dict:
     # -- micro-batched: concurrent clients through the batcher ----------
     config = BatcherConfig(
         max_batch_size=64,
-        max_delay_ms=2.0,
         max_queue_depth=max(64, requests_count),
         workers=workers,
     )
@@ -157,7 +157,6 @@ def bench_serve(quick: bool) -> dict:
         "workers": workers,
         "tile": tile,
         "max_batch_size": config.max_batch_size,
-        "max_delay_ms": config.max_delay_ms,
         "sequential_seconds": best_sequential,
         "batched_seconds": best_batched,
         "sequential_requests_per_second": requests_count / best_sequential,
@@ -245,7 +244,6 @@ def bench_gateway(quick: bool) -> dict:
             submit_timeout_s=10.0,
             batcher=BatcherConfig(
                 max_batch_size=GATEWAY_BATCH,
-                max_delay_ms=1.0,
                 workers=GATEWAY_WORKERS,
                 max_queue_depth=4096,
             ),
@@ -389,7 +387,6 @@ def bench_telemetry(quick: bool) -> dict:
 
     config = BatcherConfig(
         max_batch_size=64,
-        max_delay_ms=2.0,
         max_queue_depth=max(64, requests_count),
         workers=2,
     )

@@ -237,7 +237,6 @@ def serve(
     retune: Optional[RetunePolicy] = None,
     batcher: Optional[BatcherConfig] = None,
     max_batch_size: Optional[int] = None,
-    max_delay_ms: Optional[float] = None,
     max_queue_depth: Optional[int] = None,
     workers: Optional[int] = None,
 ) -> MicroBatcher:
@@ -253,7 +252,6 @@ def serve(
     """
     overrides = {
         "max_batch_size": max_batch_size,
-        "max_delay_ms": max_delay_ms,
         "max_queue_depth": max_queue_depth,
         "workers": workers,
     }

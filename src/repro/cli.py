@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--clients", type=int, default=4)
     serve.add_argument("--workers", type=int, default=2)
     serve.add_argument("--batch-size", type=int, default=64)
-    serve.add_argument("--delay-ms", type=float, default=2.0)
     serve.add_argument("--queue", type=int, default=256)
     serve.add_argument(
         "--listen",
@@ -896,7 +895,6 @@ def _cmd_serve(args) -> None:
     requests = [images[i % len(images)] for i in range(args.requests)]
     batcher_config = BatcherConfig(
         max_batch_size=args.batch_size,
-        max_delay_ms=args.delay_ms,
         max_queue_depth=args.queue,
         workers=args.workers,
     )
@@ -1081,9 +1079,7 @@ def _watch_plane():
 
     plane = TelemetryPlane().install()
     batcher = plane.attach(
-        MicroBatcher(
-            fake_infer, BatcherConfig(max_batch_size=8, max_delay_ms=1.0)
-        ).start()
+        MicroBatcher(fake_infer, BatcherConfig(max_batch_size=8)).start()
     )
     stop = threading.Event()
 

@@ -6,9 +6,10 @@ reusable service:
 * :func:`compile_session` compiles the full ``zoo -> quantize -> split ->
   assemble`` chain once into an :class:`InferenceSession` and caches the
   result by configuration digest;
-* :class:`MicroBatcher` coalesces concurrent ``submit`` calls into
-  size/deadline-bounded batches over a bounded (backpressured) queue and
-  fans the per-request results back out as futures;
+* :class:`MicroBatcher` coalesces concurrent ``submit`` calls over a
+  bounded (backpressured) queue: each free worker runs whatever is
+  queued, up to ``max_batch_size``, and fans the per-request results
+  back out as futures;
 * fixed-tile execution keeps outputs bit-identical no matter how
   requests were coalesced (see :mod:`repro.serve.session`).
 

@@ -1,4 +1,4 @@
-"""Micro-batching request coalescer with bounded-queue backpressure.
+"""Work-conserving micro-batcher with bounded-queue backpressure.
 
 The SEI pipeline is an embarrassingly batchable MVM chain: running 64
 requests through one forward pass costs far less than 64 single-sample
@@ -7,16 +7,20 @@ vectorise).  :class:`MicroBatcher` exploits that for concurrent traffic:
 
 * clients call :meth:`MicroBatcher.submit` and get a
   :class:`concurrent.futures.Future` back immediately;
-* a collector thread coalesces pending requests into batches bounded by
-  ``max_batch_size`` *and* a coalescing deadline (``max_delay_ms``
-  measured from the first request of the batch), so a lone request is
-  never stalled longer than the deadline waiting for company;
-* batches run on a worker pool (numpy releases the GIL inside the
-  matmuls, so on multi-core hosts workers add real parallelism);
-* the admission queue is bounded: when ``max_queue_depth`` requests are
-  pending, :meth:`submit` blocks (backpressure) or — with a timeout —
-  raises :class:`repro.errors.BackpressureError` so callers can shed
-  load instead of queueing unboundedly.
+* ``workers`` threads each pull their own batches: a free worker blocks
+  on the admission queue for the first request, then takes whatever
+  else is *already* queued (up to ``max_batch_size``, never a timed
+  wait) and runs that batch.  A lone request on an idle batcher runs
+  at once; under load requests queue up while the workers are busy, so
+  batches grow by themselves — the way the paper's pipelined fabric
+  streams samples without holding any back for a fuller wave;
+* numpy releases the GIL inside the matmuls, so on multi-core hosts
+  workers add real parallelism;
+* the admission queue is bounded and fills exactly when every worker
+  is busy: at ``max_queue_depth`` pending requests :meth:`submit`
+  blocks (backpressure) or — with a timeout — raises
+  :class:`repro.errors.BackpressureError` so callers can shed load
+  instead of queueing unboundedly.
 
 Because :class:`repro.serve.session.InferenceSession` executes in fixed
 hardware tiles, the results a request receives are bit-identical no
@@ -29,8 +33,7 @@ from __future__ import annotations
 import itertools
 import queue
 import threading
-import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
@@ -53,17 +56,19 @@ LATENCY_EDGES_MS = (
 
 @dataclass(frozen=True)
 class BatcherConfig:
-    """Coalescing and capacity parameters of one micro-batcher."""
+    """Batch-size and capacity parameters of one micro-batcher."""
 
     #: Largest batch one forward pass receives.
     max_batch_size: int = 64
-    #: Coalescing deadline from the first request of a batch; a batch is
-    #: dispatched as soon as it is full *or* this delay elapses.
-    max_delay_ms: float = 2.0
+    #: Has no effect; validated (``>= 0``).  Workers never wait for a
+    #: fuller batch.  It stays because the end-to-end benchmark's
+    #: serving workload still constructs configs with it, and it can go
+    #: only together with that.
+    max_delay_ms: float = 0.0
     #: Bounded admission queue: submits beyond this many pending
     #: requests block (or raise, with a timeout) — backpressure.
     max_queue_depth: int = 256
-    #: Worker threads executing batches.
+    #: Worker threads, each pulling and executing its own batches.
     workers: int = 2
 
     def __post_init__(self) -> None:
@@ -127,6 +132,18 @@ class _Request:
 _STOP = object()
 
 
+def _settle(future: Future, result=None, error=None) -> None:
+    """Resolve ``future`` unless another thread (a racing
+    :meth:`MicroBatcher.abort`) already has; the second is a no-op."""
+    try:
+        if error is not None:
+            future.set_exception(error)
+        else:
+            future.set_result(result)
+    except InvalidStateError:
+        pass
+
+
 class MicroBatcher:
     """Coalesce concurrent ``submit`` calls into bounded micro-batches.
 
@@ -136,19 +153,19 @@ class MicroBatcher:
         Either an object with an ``infer_batch(images) -> outputs``
         method (an :class:`~repro.serve.session.InferenceSession`) or a
         bare callable with that signature.  Outputs must be indexable
-        along axis 0 in request order.
+        along axis 0 in request order.  A target that also has a
+        ``check_batch(images)`` method (sessions do) has every request
+        checked by it in :meth:`submit`, before it is queued.
     config:
-        Coalescing/capacity parameters; defaults to
+        Batch-size/capacity parameters; defaults to
         :class:`BatcherConfig`.
     clock:
         Time source for every recorded timestamp (enqueue, batch start
         and end, latency histograms).  Defaults to the real
         :data:`~repro.serve.clock.SYSTEM_CLOCK`; tests inject a
         :class:`~repro.serve.clock.FakeClock` so latency accounting is
-        exact instead of wall-clock-tolerant.  The *coalescing wait*
-        itself stays on real time — it parks a thread in
-        ``queue.get`` — so a fake clock changes what gets measured,
-        never whether threads wake up.
+        exact instead of wall-clock-tolerant.  Dispatch never consults
+        the clock: a free worker runs whatever is queued.
 
     Use as a context manager (``with session.batcher() as mb: ...``) or
     call :meth:`start` / :meth:`stop` explicitly.
@@ -169,6 +186,7 @@ class MicroBatcher:
                 )
             infer = target
         self._infer = infer
+        self._check = getattr(target, "check_batch", None)
         self.config = config if config is not None else BatcherConfig()
         self.clock = clock if clock is not None else SYSTEM_CLOCK
         self.stats = BatcherStats()
@@ -177,22 +195,14 @@ class MicroBatcher:
         )
         self._stats_lock = threading.Lock()
         self._state_lock = threading.Lock()
-        self._collector: Optional[threading.Thread] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
+        self._threads: List[threading.Thread] = []
         self._closed = False
         self._abort = False
         self._abort_error: Optional[BaseException] = None
-        #: Requests currently inside a dispatched batch (guarded by
+        #: Requests currently inside a running batch (guarded by
         #: ``_stats_lock``): :meth:`abort` fails these directly so a
         #: killed shard's waiters never hang on a stalled worker.
         self._inflight_requests: set = set()
-        # In-flight batch limiter.  Without it the collector would drain
-        # the bounded admission queue straight into the executor's
-        # *unbounded* internal queue and backpressure would never engage;
-        # with it, the collector only pulls work while a worker is free,
-        # so pending requests accumulate in the admission queue and
-        # ``submit`` genuinely blocks at ``max_queue_depth``.
-        self._inflight = threading.Semaphore(self.config.workers)
         #: Edges for the batch-size histogram (one bin per size).
         self._size_edges = np.arange(self.config.max_batch_size + 1) + 0.5
         #: Optional flight recorder (a :class:`repro.obs.FlightRecorder`);
@@ -219,27 +229,23 @@ class MicroBatcher:
     # -- lifecycle -------------------------------------------------------
     @property
     def running(self) -> bool:
-        return self._collector is not None and self._collector.is_alive()
+        return any(thread.is_alive() for thread in self._threads)
 
     def start(self) -> "MicroBatcher":
         with self._state_lock:
-            if self._collector is not None:
+            if self._threads:
                 raise ServeError("MicroBatcher is already started")
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.config.workers,
-                thread_name_prefix="serve-worker",
-            )
-            self._collector = threading.Thread(
-                target=self._collect_loop, name="serve-collector", daemon=True
-            )
-            self._collector.start()
+            for i in range(self.config.workers):
+                thread = threading.Thread(
+                    target=self._work_loop, name=f"serve-worker-{i}",
+                    daemon=True,
+                )
+                self._threads.append(thread)
+                thread.start()
+        cfg = self.config
         logger.debug(
-            "batcher started: %d workers, batch<=%d, delay<=%.1fms, "
-            "queue<=%d",
-            self.config.workers,
-            self.config.max_batch_size,
-            self.config.max_delay_ms,
-            self.config.max_queue_depth,
+            "batcher started: %d workers, batch<=%d, queue<=%d",
+            cfg.workers, cfg.max_batch_size, cfg.max_queue_depth,
         )
         return self
 
@@ -250,40 +256,45 @@ class MicroBatcher:
     ) -> None:
         """Shut down; ``drain=True`` finishes pending requests first.
 
-        With ``drain=False`` pending (not yet dispatched) requests are
+        With ``drain=False`` pending (not yet running) requests are
         cancelled — or, when ``error`` is given, *failed* with that
         exception instead.  The error form is what a dying shard uses:
         every waiter gets a :class:`~repro.errors.ShardDeadError`
         promptly rather than a bare cancellation (or worse, a hang).
-        Idempotent.
+        Batches already running finish either way.  Idempotent.
         """
         with self._state_lock:
-            if self._collector is None or self._closed:
+            if not self._threads or self._closed:
                 return
             self._closed = True
             self._abort = not drain
             self._abort_error = error if not drain else None
-        self._queue.put(_STOP)
-        self._collector.join()
-        assert self._executor is not None
-        self._executor.shutdown(wait=True)
-        # Anything still queued was behind the sentinel of an aborted
-        # shutdown: resolve it so waiters do not hang.
+        # One sentinel per worker, queued behind every admitted request;
+        # each worker exits on the first sentinel it takes.
+        for _ in self._threads:
+            self._queue.put(_STOP)
+        for thread in self._threads:
+            thread.join()
+        # Anything still queued was admitted after the sentinels (a
+        # submit racing the shutdown): resolve it so waiters do not hang.
+        self._drop_queued()
+
+    def _drop_request(self, request: "_Request") -> None:
+        """Resolve one request that will not run (aborted shutdown)."""
+        if self._abort_error is not None:
+            _settle(request.future, error=self._abort_error)
+        else:
+            request.future.cancel()
+
+    def _drop_queued(self) -> None:
+        """Resolve every request still in the admission queue."""
         while True:
             try:
                 item = self._queue.get_nowait()
             except queue.Empty:
-                break
+                return
             if item is not _STOP:
                 self._drop_request(item)
-
-    def _drop_request(self, request: "_Request") -> None:
-        """Resolve one undispatched request during an aborted shutdown."""
-        if self._abort_error is not None:
-            if not request.future.done():
-                request.future.set_exception(self._abort_error)
-        else:
-            request.future.cancel()
 
     def abort(self, error: Optional[BaseException] = None) -> None:
         """Abrupt, non-blocking shutdown: fail everything, wait for nothing.
@@ -292,45 +303,31 @@ class MicroBatcher:
         promptly even when a batch is wedged inside ``infer``.  Every
         queued *and* in-flight request is failed with ``error``
         (default: a :class:`~repro.errors.ServeError`); a wedged
-        worker's late ``set_result`` on an already-failed future is a
-        silent no-op.  This is the crash path a dying gateway shard
-        takes — liveness over graceful drain.
+        worker's late result for an already-failed future is a silent
+        no-op.  This is the crash path a dying gateway shard takes —
+        liveness over graceful drain.
         """
-        error = (
-            error
-            if error is not None
-            else ServeError("MicroBatcher aborted")
-        )
+        if error is None:
+            error = ServeError("MicroBatcher aborted")
         with self._state_lock:
-            if self._collector is None:
+            if not self._threads:
                 return
-            already = self._closed
             self._closed = True
             self._abort = True
             self._abort_error = error
-        if not already:
-            self._queue.put(_STOP)
-        # A collector parked on the in-flight semaphore (all workers
-        # busy) would never see the sentinel; hand it a free slot.
-        self._inflight.release()
-        # Fail whatever is still queued (racing the collector over the
-        # queue is fine — each item is resolved by exactly one side).
-        while True:
+        # Fail what is queued, then wake the idle workers; the drain may
+        # eat a stop() in progress's sentinels, so they are queued again
+        # (put_nowait: a worker drops racing submits' requests anyway).
+        self._drop_queued()
+        for _ in self._threads:
             try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
+                self._queue.put_nowait(_STOP)
+            except queue.Full:
                 break
-            if item is not _STOP:
-                self._drop_request(item)
-        self._queue.put(_STOP)  # the drain above may have eaten it
         with self._stats_lock:
             inflight = list(self._inflight_requests)
         for request in inflight:
-            if not request.future.done():
-                request.future.set_exception(error)
-        executor = self._executor
-        if executor is not None:
-            executor.shutdown(wait=False)
+            _settle(request.future, error=error)
 
     def __enter__(self) -> "MicroBatcher":
         if not self.running:
@@ -347,18 +344,23 @@ class MicroBatcher:
         Blocks while the admission queue is full (backpressure).  With a
         ``timeout`` (seconds), raises
         :class:`~repro.errors.BackpressureError` instead of waiting
-        longer.
+        longer.  A sample the target cannot take (a session's
+        ``check_batch`` rejects it) raises
+        :class:`~repro.errors.ShapeError` here and is never queued.
         """
-        if self._closed or self._collector is None:
+        if self._closed or not self._threads:
             raise ServeError(
                 "MicroBatcher is not running (call start() or use it as a "
                 "context manager)"
             )
         # np.asarray is a no-op view for ndarray inputs: the request
         # carries the caller's buffer by reference (zero-copy handoff
-        # between the gateway front-end and the shard's worker pool).
+        # between the gateway front-end and the shard's workers).
+        x = np.asarray(x)
+        if self._check is not None:
+            self._check(x[None])
         request = _Request(
-            np.asarray(x), Future(), self.clock.monotonic(), next(self._rid)
+            x, Future(), self.clock.monotonic(), next(self._rid)
         )
         try:
             self._queue.put(request, block=True, timeout=timeout)
@@ -401,18 +403,16 @@ class MicroBatcher:
     def _note_queue_depth(self) -> int:
         """Sample the queue depth once; update gauge + high-watermark.
 
-        Both ``submit`` and the drain loop used to write the
-        ``serve/queue_depth`` gauge independently, so a stale producer
-        write could land after the drain's fresher one.  Routing both
-        through one helper makes each write a fresh ``qsize()`` sample
-        and keeps the ``serve/queue_depth_high_watermark`` gauge in
-        lock-step with ``stats.max_observed_queue_depth``.
+        Both ``submit`` and the workers write the ``serve/queue_depth``
+        gauge, each from a fresh ``qsize()`` sample, and the
+        ``serve/queue_depth_high_watermark`` gauge stays in lock-step
+        with ``stats.max_observed_queue_depth``.
         """
         depth = self._queue.qsize()
         if self._closed:
-            # The _STOP sentinel is queued during shutdown; it is not a
-            # pending request and must not count as one.
-            depth = max(0, depth - 1)
+            # Up to one _STOP sentinel per worker is queued during
+            # shutdown; they are not pending requests.
+            depth = max(0, depth - self.config.workers)
         with self._stats_lock:
             if depth > self.stats.max_observed_queue_depth:
                 self.stats.max_observed_queue_depth = depth
@@ -425,67 +425,50 @@ class MicroBatcher:
             )
         return depth
 
-    def _collect_loop(self) -> None:
-        cfg = self.config
-        delay = cfg.max_delay_ms / 1e3
+    def _work_loop(self) -> None:
+        """One worker: take the first request, add what is queued, run."""
+        limit = self.config.max_batch_size
         while True:
-            self._inflight.acquire()
             first = self._queue.get()
             if first is _STOP:
                 return
-            if self._abort:
-                self._drop_request(first)
-                self._inflight.release()
-                continue
             batch = [first]
-            deadline = time.monotonic() + delay
             stop_after = False
-            while len(batch) < cfg.max_batch_size:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
+            while len(batch) < limit:
                 try:
-                    item = self._queue.get(timeout=remaining)
+                    item = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if item is _STOP:
                     stop_after = True
                     break
                 batch.append(item)
-            if self._abort:
-                for item in batch:
-                    self._drop_request(item)
-                self._inflight.release()
-                return
-            assert self._executor is not None
-            try:
-                self._executor.submit(self._run_batch, batch)
-            except RuntimeError:
-                # abort() shut the executor down between our check and
-                # the submit; resolve the batch ourselves.
-                for item in batch:
-                    self._drop_request(item)
-                self._inflight.release()
-                return
+            with self._stats_lock:
+                aborted = self._abort
+                if not aborted:
+                    self._inflight_requests.update(batch)
+            if aborted:
+                for request in batch:
+                    self._drop_request(request)
+            else:
+                try:
+                    self._run_batch(batch)
+                finally:
+                    with self._stats_lock:
+                        self._inflight_requests.difference_update(batch)
             if stop_after:
                 return
 
     def _run_batch(self, batch: List[_Request]) -> None:
-        with self._stats_lock:
-            self._inflight_requests.update(batch)
-        try:
-            self._run_batch_inner(batch)
-        finally:
-            with self._stats_lock:
-                self._inflight_requests.difference_update(batch)
-            self._inflight.release()
-
-    def _run_batch_inner(self, batch: List[_Request]) -> None:
-        images = np.stack([request.x for request in batch])
         started = self.clock.monotonic()
         with obs.span("serve.batch", size=len(batch)):
             try:
+                # Assembly sits inside the fan-out: requests a bare
+                # callable cannot stack fail their own batch, never
+                # the worker thread.
+                images = np.stack([request.x for request in batch])
                 outputs = self._infer(images)
+                rows = [outputs[i] for i in range(len(batch))]
             except Exception as exc:  # fan the failure out to every waiter
                 with self._stats_lock:
                     self.stats.failed_batches += 1
@@ -504,15 +487,13 @@ class MicroBatcher:
                         **self._target_info,
                     )
                 for request in batch:
-                    if not request.future.done():
-                        request.future.set_exception(exc)
+                    _settle(request.future, error=exc)
                 return
         done = self.clock.monotonic()
-        for i, request in enumerate(batch):
-            # done() futures were failed by abort() while this batch
-            # was in flight; their waiters already have their answer.
-            if not request.future.done():
-                request.future.set_result(outputs[i])
+        for request, row in zip(batch, rows):
+            # Futures failed by abort() while this batch ran already
+            # have their answer; _settle leaves them be.
+            _settle(request.future, result=row)
         with self._stats_lock:
             self.stats.requests += len(batch)
             self.stats.batches += 1

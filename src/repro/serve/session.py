@@ -224,22 +224,34 @@ class InferenceSession:
         raise ConfigurationError("network has no weighted layers")
 
     # -- inference -------------------------------------------------------
+    def check_batch(self, images: np.ndarray) -> np.ndarray:
+        """``images`` as an array, or :class:`ShapeError` unless it is a
+        non-empty ``(n, *input_shape)`` batch of bool, integer or float
+        samples.  :meth:`infer_batch` and ``MicroBatcher.submit`` both
+        check here."""
+        images = np.asarray(images)
+        expected = self.hardware.network.input_shape
+        if not images.ndim or not len(images) or images.shape[1:] != expected:
+            raise ShapeError(
+                f"expected a non-empty batch of shape "
+                f"(n, {', '.join(map(str, expected))}), got {images.shape}"
+            )
+        if images.dtype.kind not in "biuf":
+            raise ShapeError(
+                f"expected real numeric samples, got dtype {images.dtype}"
+            )
+        return images
+
     def infer_batch(self, images: np.ndarray) -> np.ndarray:
         """Logits for a batch ``(n, *input_shape)``, tile-executed.
 
         This is the path the :class:`MicroBatcher` drives; it is also
         what :meth:`infer` uses, so one-at-a-time and coalesced requests
-        run byte-for-byte the same compute.  An empty or mis-shaped batch
-        raises :class:`ShapeError` before any state (device clocks,
-        counters) moves.
+        run byte-for-byte the same compute.  A batch :meth:`check_batch`
+        rejects raises :class:`ShapeError` before any state (device
+        clocks, counters) moves.
         """
-        images = np.asarray(images)
-        expected = self.hardware.network.input_shape
-        if not images.ndim or not len(images) or images.shape[1:] != expected:
-            raise ShapeError(
-                f"infer_batch needs a non-empty batch of shape "
-                f"(n, {', '.join(map(str, expected))}), got {images.shape}"
-            )
+        images = self.check_batch(images)
         tile = self.config.tile
         n = len(images)
         outputs = []

@@ -365,7 +365,7 @@ class TestTelemetryPlane:
         batcher = plane.attach(
             MicroBatcher(
                 lambda batch: np.zeros((len(batch), 4)),
-                BatcherConfig(max_batch_size=4, max_delay_ms=1.0, workers=1),
+                BatcherConfig(max_batch_size=4, workers=1),
             ).start()
         )
         try:
@@ -385,7 +385,7 @@ class TestTelemetryPlane:
         batcher = plane.attach(
             MicroBatcher(
                 _failing_then_ok_target(),
-                BatcherConfig(max_batch_size=2, max_delay_ms=0.5, workers=1),
+                BatcherConfig(max_batch_size=2, workers=1),
             ).start()
         )
         try:
@@ -415,7 +415,7 @@ class TestTelemetryPlane:
 
         batcher = plane.attach(
             MicroBatcher(
-                infer, BatcherConfig(max_batch_size=4, max_delay_ms=0.5)
+                infer, BatcherConfig(max_batch_size=4)
             ).start()
         )
         try:
@@ -481,7 +481,7 @@ class TestExpositionServer:
         batcher = plane.attach(
             MicroBatcher(
                 lambda batch: np.zeros((len(batch), 4)),
-                BatcherConfig(max_batch_size=4, max_delay_ms=1.0),
+                BatcherConfig(max_batch_size=4),
             ).start()
         )
         with plane.serve() as server:

@@ -75,6 +75,16 @@ class TestSessionExecution:
         assert np.array_equal(whole, one_at_a_time)
         assert np.array_equal(whole, odd_chunks)
 
+    def test_non_numeric_batch_raises_shape_error(
+        self, tiny_session, request_images
+    ):
+        for dtype in (object, complex, str):
+            with pytest.raises(ShapeError, match="dtype"):
+                tiny_session.infer_batch(request_images[:2].astype(dtype))
+        # Bool, integer and float samples are all accepted.
+        for dtype in (bool, np.uint8, np.float32):
+            tiny_session.infer_batch(request_images[:2].astype(dtype))
+
     def test_classify_and_error_rate(self, tiny_session, tiny_dataset):
         images = tiny_dataset["test_x"][:16]
         labels = tiny_dataset["test_y"][:16]
@@ -103,7 +113,7 @@ class TestMicroBatcher:
         sequential = np.stack(
             [tiny_session.infer(x) for x in request_images]
         )
-        config = BatcherConfig(max_batch_size=8, max_delay_ms=5.0, workers=2)
+        config = BatcherConfig(max_batch_size=8, workers=2)
         with tiny_session.batcher(config) as mb:
             futures = [None] * len(request_images)
 
@@ -124,15 +134,30 @@ class TestMicroBatcher:
         assert mb.stats.batches >= 1
 
     def test_coalesces_into_batches(self, tiny_session, request_images):
-        config = BatcherConfig(max_batch_size=16, max_delay_ms=20.0, workers=1)
-        with tiny_session.batcher(config) as mb:
-            futures = mb.submit_many(request_images[:12])
-            for f in futures:
-                f.result(timeout=30)
-        # All 12 were submitted well inside the 20ms window, so they
-        # must have shared batches rather than running one by one.
-        assert mb.stats.batches < 12
-        assert mb.stats.mean_batch_size > 1
+        """Requests queued behind a busy worker share its next batch."""
+        entered = threading.Event()
+        release = threading.Event()
+
+        class HeldSession:
+            # The session's own compute, but the first batch waits until
+            # every later request is queued.
+            check_batch = tiny_session.check_batch
+
+            def infer_batch(self, images):
+                entered.set()
+                release.wait(10)
+                return tiny_session.infer_batch(images)
+
+        config = BatcherConfig(max_batch_size=16, workers=1)
+        with MicroBatcher(HeldSession(), config) as mb:
+            futures = [mb.submit(request_images[0])]
+            assert entered.wait(10)
+            futures += mb.submit_many(request_images[1:12])
+            release.set()
+            outputs = np.stack([f.result(timeout=30) for f in futures])
+        assert mb.stats.batch_sizes == [1, 11]
+        sequential = [tiny_session.infer(x) for x in request_images[:12]]
+        assert np.array_equal(outputs, np.stack(sequential))
 
     def test_backpressure_raises_on_timeout(self, request_images):
         release = threading.Event()
@@ -142,12 +167,12 @@ class TestMicroBatcher:
             return np.zeros((len(batch), 10))
 
         config = BatcherConfig(
-            max_batch_size=1, max_delay_ms=0.0, max_queue_depth=2, workers=1
+            max_batch_size=1, max_queue_depth=2, workers=1
         )
         with MicroBatcher(slow_infer, config) as mb:
             # Occupy the worker, then fill the queue.
             mb.submit(request_images[0])
-            time.sleep(0.05)  # let the collector drain the first request
+            time.sleep(0.05)  # let the worker take the first request
             mb.submit(request_images[1])
             mb.submit(request_images[2])
             with pytest.raises(BackpressureError):
@@ -164,7 +189,7 @@ class TestMicroBatcher:
             return np.arange(len(batch) * 10, dtype=float).reshape(-1, 10)
 
         config = BatcherConfig(
-            max_batch_size=1, max_delay_ms=0.0, max_queue_depth=1, workers=1
+            max_batch_size=1, max_queue_depth=1, workers=1
         )
         with MicroBatcher(gated_infer, config) as mb:
             mb.submit(request_images[0])
@@ -194,6 +219,54 @@ class TestMicroBatcher:
             with pytest.raises(RuntimeError, match="crossbar on fire"):
                 future.result(timeout=10)
         assert mb.stats.failed_batches == 1
+
+    def test_misshaped_request_rejected_before_queueing(
+        self, tiny_session, request_images
+    ):
+        """A bad request raises at submit; its neighbours still answer."""
+        with tiny_session.batcher(BatcherConfig(workers=1)) as mb:
+            good = mb.submit(request_images[0])
+            with pytest.raises(ShapeError):
+                mb.submit(np.zeros(3))
+            with pytest.raises(ShapeError):
+                mb.submit(request_images[1].astype(object))
+            also_good = mb.submit(request_images[1])
+            np.testing.assert_array_equal(
+                good.result(timeout=30), tiny_session.infer(request_images[0])
+            )
+            np.testing.assert_array_equal(
+                also_good.result(timeout=30),
+                tiny_session.infer(request_images[1]),
+            )
+        assert mb.stats.requests == 2
+        assert mb.stats.failed_batches == 0
+
+    def test_mixed_shape_batch_fails_every_future(self):
+        """A batch a bare callable cannot stack fails, and only it."""
+        entered = threading.Event()
+        release = threading.Event()
+
+        def held_double(batch):
+            entered.set()
+            release.wait(10)
+            return batch * 2
+
+        config = BatcherConfig(max_batch_size=8, workers=1)
+        with MicroBatcher(held_double, config) as mb:
+            first = mb.submit(np.ones(2))
+            assert entered.wait(10)
+            # Queued behind the held batch, so they form the next one.
+            mixed = [mb.submit(np.zeros(2)), mb.submit(np.zeros(3))]
+            release.set()
+            np.testing.assert_array_equal(first.result(timeout=10), [2, 2])
+            for future in mixed:
+                with pytest.raises(ValueError):
+                    future.result(timeout=10)
+            # The worker survived the failed assembly.
+            after = mb.submit(np.ones(2))
+            np.testing.assert_array_equal(after.result(timeout=10), [2, 2])
+        assert mb.stats.failed_batches == 1
+        assert mb.stats.batch_sizes == [1, 1]
 
     def test_submit_after_stop_raises(self, tiny_session, request_images):
         mb = tiny_session.batcher()
@@ -363,7 +436,7 @@ class TestTelemetryWiring:
             return np.zeros((len(batch), 4))
 
         config = BatcherConfig(
-            max_batch_size=4, max_delay_ms=1.0, max_queue_depth=16, workers=1
+            max_batch_size=4, max_queue_depth=16, workers=1
         )
         with obs.recording() as rec:
             with MicroBatcher(gated_infer, config) as batcher:
@@ -397,7 +470,7 @@ class TestTelemetryWiring:
         from repro.obs import FlightRecorder
 
         flight = FlightRecorder(capacity=256)
-        config = BatcherConfig(max_batch_size=4, max_delay_ms=1.0)
+        config = BatcherConfig(max_batch_size=4)
         with tiny_session.batcher(config) as batcher:
             batcher.flight = flight
             for f in batcher.submit_many(request_images[:6]):
@@ -432,7 +505,7 @@ class TestTelemetryWiring:
             return np.zeros((len(batch), 4))
 
         config = BatcherConfig(
-            max_batch_size=1, max_delay_ms=0.0, max_queue_depth=1, workers=1
+            max_batch_size=1, max_queue_depth=1, workers=1
         )
         with obs.recording() as rec:
             with MicroBatcher(infer, config) as batcher:
@@ -463,7 +536,7 @@ class TestTelemetryWiring:
         from repro.obs import SloConfig
 
         batcher, plane, server = tiny_session.serve_live(
-            BatcherConfig(max_batch_size=4, max_delay_ms=1.0),
+            BatcherConfig(max_batch_size=4),
             slo=SloConfig(window_s=30.0),
             listen="127.0.0.1:0",
         )

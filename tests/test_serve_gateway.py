@@ -30,6 +30,7 @@ from repro.errors import (
     ConfigurationError,
     ConformanceError,
     ServeError,
+    ShapeError,
     ShardDeadError,
 )
 from repro.serve import (
@@ -68,7 +69,7 @@ def _slow_tenant(delay_s: float = 0.002):
 
 
 SMALL_BATCHER = BatcherConfig(
-    max_batch_size=8, max_delay_ms=1.0, workers=2, max_queue_depth=64
+    max_batch_size=8, workers=2, max_queue_depth=64
 )
 
 
@@ -194,8 +195,7 @@ class TestSessionShard:
             "s0",
             {"default": wedged_tenant},
             batcher=BatcherConfig(
-                max_batch_size=1, max_delay_ms=0.0, workers=1,
-                max_queue_depth=8,
+                max_batch_size=1, workers=1, max_queue_depth=8,
             ),
         ).start()
         futures = [shard.submit(np.zeros(2)) for _ in range(4)]
@@ -410,8 +410,7 @@ class TestAdmissionControl:
             max_in_flight=4,
             submit_timeout_s=5.0,
             batcher=BatcherConfig(
-                max_batch_size=1, max_delay_ms=0.0, workers=1,
-                max_queue_depth=64,
+                max_batch_size=1, workers=1, max_queue_depth=64,
             ),
         )
         with AsyncGateway({"default": wedged_tenant}, config=config) as gw:
@@ -458,6 +457,48 @@ class TestAdmissionControl:
             counters = gw.recorder.metrics.as_dict()["counters"]
             assert counters.get("serve/gateway/rejected_rate", 0) >= 1
 
+    def test_misshaped_request_fails_and_frees_its_window_slot(
+        self, tiny_session, tiny_dataset
+    ):
+        """A bad request never joins, or hangs, a batch of good ones."""
+        entered = threading.Event()
+        release = threading.Event()
+
+        class HeldSession:
+            # The session's compute; its first batch waits for release.
+            check_batch = tiny_session.check_batch
+
+            def infer_batch(self, images):
+                entered.set()
+                release.wait(timeout=10.0)
+                return tiny_session.infer_batch(images)
+
+        config = GatewayConfig(
+            shards=1,
+            max_in_flight=3,
+            batcher=BatcherConfig(max_batch_size=8, workers=1),
+        )
+        images = tiny_dataset["test_x"]
+        with AsyncGateway({"default": HeldSession}, config=config) as gw:
+            held = gw.submit(images[0])
+            assert entered.wait(timeout=10.0)
+            # Queued behind the held batch: the bad request is refused
+            # before it can share the good one's batch.
+            good = gw.submit(images[1])
+            with pytest.raises(ShapeError):
+                gw.submit(np.zeros(3)).result(timeout=10)
+            release.set()
+            for future, x in ((held, images[0]), (good, images[1])):
+                np.testing.assert_array_equal(
+                    future.result(timeout=10), tiny_session.infer(x)
+                )
+            # Every window slot came back.
+            futures = gw.submit_many(images[2:5])
+            for future, x in zip(futures, images[2:5]):
+                np.testing.assert_array_equal(
+                    future.result(timeout=10), tiny_session.infer(x)
+                )
+
 
 class TestZeroCopyHandoff:
     def test_submit_enqueues_the_callers_buffer(self):
@@ -472,8 +513,7 @@ class TestZeroCopyHandoff:
         batcher = MicroBatcher(
             wedged,
             BatcherConfig(
-                max_batch_size=1, max_delay_ms=0.0, workers=1,
-                max_queue_depth=8,
+                max_batch_size=1, workers=1, max_queue_depth=8,
             ),
         ).start()
         try:
@@ -515,8 +555,7 @@ class TestChaosKillAndRejoin:
             shards=3,
             submit_timeout_s=5.0,
             batcher=BatcherConfig(
-                max_batch_size=4, max_delay_ms=0.5, workers=1,
-                max_queue_depth=256,
+                max_batch_size=4, workers=1, max_queue_depth=256,
             ),
         )
         probes = np.zeros((2, 3))
@@ -638,8 +677,7 @@ class TestGatewayBitIdentity:
         config = GatewayConfig(
             shards=shards,
             batcher=BatcherConfig(
-                max_batch_size=5, max_delay_ms=2.0, workers=2,
-                max_queue_depth=256,
+                max_batch_size=5, workers=2, max_queue_depth=256,
             ),
         )
         with AsyncGateway({"default": lambda: session}, config=config) as gw:
@@ -658,8 +696,7 @@ class TestGatewayBitIdentity:
         config = GatewayConfig(
             shards=2,
             batcher=BatcherConfig(
-                max_batch_size=4, max_delay_ms=1.0, workers=2,
-                max_queue_depth=64,
+                max_batch_size=4, workers=2, max_queue_depth=64,
             ),
         )
         tenants = {

@@ -1,14 +1,19 @@
 """Property-based tests for the micro-batching serving path.
 
 Liveness/ordering/accounting guarantees the batcher makes, checked over
-hypothesis-drawn coalescing configurations:
+hypothesis-drawn batching configurations:
 
 * coalescing NEVER reorders results — every future resolves to its own
   sample's output no matter how requests were grouped into batches;
-* a saturated in-flight semaphore plus a full admission queue makes
+* busy workers plus a full admission queue make
   ``submit(timeout=...)`` raise :class:`BackpressureError` — load
   shedding, not deadlock;
 * ``stop(drain=True)`` resolves every pending future before returning;
+* the dispatch policy is work-conserving, checked deterministically on
+  a target that blocks on a :class:`threading.Event`: a free worker runs
+  a lone request at once, requests queued behind busy workers form
+  ``max_batch_size`` batches, and ``abort`` fails queued and in-flight
+  futures without waiting for a wedged worker;
 * latency accounting is **exact** on an injected
   :class:`~repro.serve.clock.FakeClock`: the recorded latency histogram
   equals the hand-computed service times, with no wall-clock tolerance
@@ -20,6 +25,7 @@ hypothesis-drawn coalescing configurations:
   continuous schedule its rate implies.
 """
 
+import sys
 import threading
 import time
 
@@ -28,7 +34,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BackpressureError
+from repro.errors import BackpressureError, ServeError, ShardDeadError
 from repro.obs.recorder import Recorder
 from repro.serve import BatcherConfig, FakeClock, MicroBatcher, TokenBucket
 
@@ -55,15 +61,13 @@ def _echo(images: np.ndarray) -> np.ndarray:
     n_requests=st.integers(1, 40),
     max_batch_size=st.integers(1, 8),
     workers=st.integers(1, 3),
-    delay_ms=st.sampled_from([0.0, 0.5, 2.0]),
 )
 def test_coalescing_never_reorders_results(
-    n_requests, max_batch_size, workers, delay_ms
+    n_requests, max_batch_size, workers
 ):
     """Whatever batches form, future i always gets sample i's output."""
     config = BatcherConfig(
         max_batch_size=max_batch_size,
-        max_delay_ms=delay_ms,
         workers=workers,
         max_queue_depth=max(n_requests, 1),
     )
@@ -96,15 +100,14 @@ def test_backpressure_raises_instead_of_deadlocking(queue_depth):
 
     config = BatcherConfig(
         max_batch_size=1,
-        max_delay_ms=0.0,
         workers=1,
         max_queue_depth=queue_depth,
     )
     batcher = MicroBatcher(stall, config).start()
     try:
-        # One request occupies the single worker; with max_batch_size=1
-        # the collector then blocks on the in-flight semaphore, so the
-        # next queue_depth requests saturate the admission queue.
+        # One request occupies the single worker, which takes nothing
+        # more until it finishes, so the next queue_depth requests
+        # saturate the admission queue.
         futures = [batcher.submit(np.zeros(2), timeout=5.0)]
         for _ in range(queue_depth):
             futures.append(batcher.submit(np.zeros(2), timeout=5.0))
@@ -133,7 +136,6 @@ def test_shutdown_drains_pending_futures(n_requests, max_batch_size):
 
     config = BatcherConfig(
         max_batch_size=max_batch_size,
-        max_delay_ms=1.0,
         workers=2,
         max_queue_depth=max(n_requests, 1),
     )
@@ -147,6 +149,169 @@ def test_shutdown_drains_pending_futures(n_requests, max_batch_size):
             future.result(), _echo(samples[i][None])[0]
         )
     assert batcher.stats.requests == n_requests
+
+
+class _HeldTarget:
+    """Records each batch's size, then blocks until ``release`` is set."""
+
+    def __init__(self):
+        self.release = threading.Event()
+        self.sizes = []
+        self._entered = threading.Semaphore(0)
+
+    def __call__(self, images):
+        self.sizes.append(len(images))
+        self._entered.release()
+        self.release.wait(timeout=10.0)
+        return _echo(images)
+
+    def wait_entered(self):
+        """Block until one more batch has reached the target."""
+        assert self._entered.acquire(timeout=10.0)
+
+
+def _samples(n):
+    return [np.array([float(i)]) for i in range(n)]
+
+
+def test_free_worker_runs_what_is_queued_now():
+    """A lone request runs alone; requests queued behind it batch up."""
+    target = _HeldTarget()
+    config = BatcherConfig(max_batch_size=8, workers=1, max_queue_depth=32)
+    samples = _samples(21)
+    batcher = MicroBatcher(target, config).start()
+    try:
+        futures = [batcher.submit(samples[0])]
+        target.wait_entered()
+        # The free worker took the lone request without waiting for
+        # company: it is inside infer as a batch of one.
+        assert target.sizes == [1]
+        futures += batcher.submit_many(samples[1:])
+        target.release.set()
+        for sample, future in zip(samples, futures):
+            np.testing.assert_array_equal(
+                future.result(timeout=10.0), _echo(sample[None])[0]
+            )
+    finally:
+        target.release.set()
+        batcher.stop(drain=True)
+    # The 20 requests queued behind the held batch ran as full batches
+    # of max_batch_size and then the remainder.
+    assert target.sizes == [1, 8, 8, 4]
+    assert batcher.stats.batch_sizes == [1, 8, 8, 4]
+
+
+def test_drain_stop_resolves_every_pending_future_with_two_workers():
+    target = _HeldTarget()
+    config = BatcherConfig(max_batch_size=4, workers=2, max_queue_depth=32)
+    samples = _samples(12)
+    batcher = MicroBatcher(target, config).start()
+    futures = []
+    for sample in samples[:2]:  # one held batch per worker
+        futures.append(batcher.submit(sample))
+        target.wait_entered()
+    futures += batcher.submit_many(samples[2:])
+    assert not any(future.done() for future in futures)
+    stopper = threading.Thread(target=batcher.stop, kwargs={"drain": True})
+    stopper.start()
+    # A graceful stop waits for the held batches; it cannot have
+    # finished while both workers are still inside infer.
+    stopper.join(timeout=0.05)
+    assert stopper.is_alive()
+    target.release.set()
+    stopper.join(timeout=10.0)
+    assert not stopper.is_alive()
+    assert not batcher.running
+    for sample, future in zip(samples, futures):
+        assert future.done()
+        np.testing.assert_array_equal(
+            future.result(), _echo(sample[None])[0]
+        )
+    assert target.sizes[:2] == [1, 1]  # the two held batches
+    assert sum(target.sizes) == len(samples)
+
+
+def test_abort_fails_queued_and_inflight_past_a_wedged_worker():
+    wedge = threading.Event()  # never set before abort returns
+    hold = threading.Event()
+    entered = threading.Semaphore(0)
+    threads = []
+
+    def target(images):
+        threads.append(threading.current_thread())
+        first = len(threads) == 1
+        entered.release()
+        (wedge if first else hold).wait(timeout=10.0)
+        return _echo(images)
+
+    config = BatcherConfig(max_batch_size=4, workers=2, max_queue_depth=16)
+    batcher = MicroBatcher(target, config).start()
+    futures = []
+    for _ in range(2):  # worker 1 wedged, worker 2 held
+        futures.append(batcher.submit(np.zeros(1)))
+        assert entered.acquire(timeout=10.0)
+    futures += batcher.submit_many([np.zeros(1)] * 5)  # queued
+    error = ShardDeadError("shard gone")
+    aborter = threading.Thread(target=batcher.abort, args=(error,))
+    aborter.start()
+    aborter.join(timeout=10.0)
+    assert not aborter.is_alive()
+    # Every queued and in-flight future already carries the error.
+    assert all(future.exception(timeout=0) is error for future in futures)
+    with pytest.raises(ServeError):
+        batcher.submit(np.zeros(1))
+    wedged, held = threads
+    # The held worker's late result is a no-op, and it then exits;
+    # the wedged one is still inside infer.
+    hold.set()
+    held.join(timeout=10.0)
+    assert not held.is_alive()
+    assert wedged.is_alive()
+    assert futures[1].exception(timeout=0) is error
+    wedge.set()
+    wedged.join(timeout=10.0)
+    assert not batcher.running
+    assert len(threads) == 2  # nothing queued ever reached the target
+
+
+def test_many_workers_and_clients_lose_no_request():
+    """More workers than cores, a tiny switch interval: every request is
+    answered with its own output and counted exactly once."""
+    clients, per_client = 4, 100
+    config = BatcherConfig(max_batch_size=4, workers=4, max_queue_depth=8)
+    futures = [[None] * per_client for _ in range(clients)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with MicroBatcher(_echo, config) as batcher:
+
+            def client(c):
+                for i in range(per_client):
+                    futures[c][i] = batcher.submit(
+                        np.array([float(c * per_client + i)]), timeout=10.0
+                    )
+
+            threads = [
+                threading.Thread(target=client, args=(c,))
+                for c in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            for c in range(clients):
+                for i, future in enumerate(futures[c]):
+                    value = float(c * per_client + i)
+                    np.testing.assert_array_equal(
+                        future.result(timeout=10.0), [2.0 * value + 1.0]
+                    )
+    finally:
+        sys.setswitchinterval(interval)
+    total = clients * per_client
+    assert batcher.stats.requests == total
+    assert sum(batcher.stats.batch_sizes) == total
+    assert batcher.stats.batches == len(batcher.stats.batch_sizes)
 
 
 @THREADED
@@ -176,7 +341,7 @@ def test_latency_accounting_is_exact_on_a_fake_clock(service_times):
         return _echo(images)
 
     config = BatcherConfig(
-        max_batch_size=1, max_delay_ms=0.0, workers=1, max_queue_depth=4
+        max_batch_size=1, workers=1, max_queue_depth=4
     )
     batcher = MicroBatcher(timed_target, config, clock=clock)
     batcher.recorder = Recorder()

@@ -9,6 +9,7 @@ generated datasets on disk so repeated benchmark runs are cheap.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
@@ -84,6 +85,56 @@ class MnistLike:
         return (1, IMAGE_SIZE, IMAGE_SIZE)
 
 
+def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """``arrays``, each marked read-only: loaded datasets are shared."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _read_split(path: Path, split: str) -> Dataset:
+    """Decompress one split (``"train"``/``"test"``) of a cached bundle."""
+    with np.load(path) as data:
+        return Dataset(*_read_only(data[f"{split}_x"], data[f"{split}_y"]))
+
+
+class _CachedSplit(Dataset):
+    """A cached split whose arrays are decompressed on first access.
+
+    Its length comes from the cache file name, so ``len()`` reads
+    nothing.  The first access to ``images`` or ``labels`` reads both
+    arrays under a lock and publishes them together, so a concurrent
+    first access never sees a half-built split.
+    """
+
+    def __init__(self, path: Path, split: str, size: int) -> None:
+        self._path = path
+        self._split = split
+        self._size = size
+        self._loaded: Optional[Dataset] = None
+        self._lock = threading.Lock()
+
+    def _load(self) -> Dataset:
+        loaded = self._loaded
+        if loaded is None:
+            with self._lock:
+                if self._loaded is None:
+                    self._loaded = _read_split(self._path, self._split)
+                loaded = self._loaded
+        return loaded
+
+    @property
+    def images(self) -> np.ndarray:
+        return self._load().images
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._load().labels
+
+    def __len__(self) -> int:
+        return self._size
+
+
 def load_mnist_like(
     num_train: int = 6000,
     num_test: int = 1000,
@@ -94,7 +145,9 @@ def load_mnist_like(
     """Generate (or load from cache) the synthetic digit dataset.
 
     Train and test samples are drawn from the same generator with disjoint
-    seeds, mirroring MNIST's i.i.d. train/test split.
+    seeds, mirroring MNIST's i.i.d. train/test split.  Every returned
+    array is read-only.  On a cache hit the test split is read at once and
+    the train split, most of the file, on its first access.
     """
     if num_train <= 0 or num_test <= 0:
         raise ConfigurationError("dataset sizes must be positive")
@@ -103,16 +156,16 @@ def load_mnist_like(
     cache_path = cache_dir / f"mnist_like_{num_train}_{num_test}_{seed}.npz"
 
     if cache and cache_path.exists():
-        with np.load(cache_path) as data:
-            return MnistLike(
-                train=Dataset(data["train_x"], data["train_y"]),
-                test=Dataset(data["test_x"], data["test_y"]),
-            )
+        return MnistLike(
+            train=_CachedSplit(cache_path, "train", num_train),
+            test=_read_split(cache_path, "test"),
+        )
 
     train_x, train_y = generate_images(num_train, seed=seed)
     test_x, test_y = generate_images(num_test, seed=seed + 1_000_003)
     bundle = MnistLike(
-        train=Dataset(train_x, train_y), test=Dataset(test_x, test_y)
+        train=Dataset(*_read_only(train_x, train_y)),
+        test=Dataset(*_read_only(test_x, test_y)),
     )
 
     if cache:

@@ -77,21 +77,6 @@ class Sequential:
             activations.append(x)
         return activations
 
-    def forward_from(self, x: np.ndarray, start: int) -> np.ndarray:
-        """Run only layers ``start..end`` on an already-computed activation.
-
-        This is the key efficiency trick for the brute-force threshold
-        search: the activations up to layer ``start`` are computed once and
-        each candidate threshold only re-runs the tail of the network.
-        """
-        if not 0 <= start <= len(self.layers):
-            raise ConfigurationError(
-                f"start index {start} outside [0, {len(self.layers)}]"
-            )
-        for layer in self.layers[start:]:
-            x = layer.forward(x)
-        return x
-
     # -- structure inspection --------------------------------------------------
     def quantizable_indices(self) -> List[int]:
         """Indices of layers whose outputs are quantizable intermediate data."""

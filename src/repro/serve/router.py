@@ -155,15 +155,6 @@ class ConsistentRouter:
                 index = 0
             return self._ring[self._points[index]]
 
-    def ownership(
-        self, keys: Sequence[Union[str, bytes]]
-    ) -> Dict[str, int]:
-        """Keys-per-shard histogram for ``keys`` (diagnostics/tests)."""
-        counts: Dict[str, int] = {shard: 0 for shard in self.shards}
-        for key in keys:
-            counts[self.route(key)] += 1
-        return counts
-
     def __repr__(self) -> str:
         with self._lock:
             shards = sorted(self._shards)

@@ -226,9 +226,9 @@ class InferenceSession:
     # -- inference -------------------------------------------------------
     def check_batch(self, images: np.ndarray) -> np.ndarray:
         """``images`` as an array, or :class:`ShapeError` unless it is a
-        non-empty ``(n, *input_shape)`` batch of bool, integer or float
-        samples.  :meth:`infer_batch` and ``MicroBatcher.submit`` both
-        check here."""
+        non-empty ``(n, *input_shape)`` batch of bool, integer or finite
+        float samples.  :meth:`infer_batch` and ``MicroBatcher.submit``
+        both check here."""
         images = np.asarray(images)
         expected = self.hardware.network.input_shape
         if not images.ndim or not len(images) or images.shape[1:] != expected:
@@ -240,6 +240,8 @@ class InferenceSession:
             raise ShapeError(
                 f"expected real numeric samples, got dtype {images.dtype}"
             )
+        if images.dtype.kind == "f" and not np.isfinite(images).all():
+            raise ShapeError("expected finite samples, got NaN or Inf")
         return images
 
     def infer_batch(self, images: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ Hyper-parameters per network live in :data:`ZOO_RECIPES`.  The
 from __future__ import annotations
 
 import json
+import threading
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -158,7 +159,8 @@ def _load_cached_meta(meta_path: Path) -> Optional[dict]:
     try:
         meta = json.loads(meta_path.read_text())
         required = (
-            "thresholds", "divisors", "layer_accuracy", "quantized_test_error",
+            "thresholds", "divisors", "layer_accuracy", "float_test_error",
+            "quantized_test_error",
         )
         if not all(key in meta for key in required):
             raise KeyError(f"missing one of {required}")
@@ -171,15 +173,39 @@ def _load_cached_meta(meta_path: Path) -> Optional[dict]:
         return None
 
 
+#: In-process dataset registry: (sizes, seed, data dir) -> shared bundle.
+#: Its arrays are read-only, so every caller can hold the same copy.
+_DATASETS: Dict[tuple, MnistLike] = {}
+_DATASETS_LOCK = threading.Lock()
+
+
 def get_dataset(
     num_train: int = DEFAULT_TRAIN,
     num_test: int = DEFAULT_TEST,
     seed: int = DEFAULT_SEED,
     cache_dir: Optional[Path] = None,
 ) -> MnistLike:
-    """The shared synthetic-MNIST dataset (cached)."""
-    data_dir = None if cache_dir is None else cache_dir / "data"
-    return load_mnist_like(num_train, num_test, seed=seed, cache_dir=data_dir)
+    """The shared synthetic-MNIST dataset (cached on disk, then in-process).
+
+    One process reads each dataset file at most once: later calls with
+    the same sizes, seed and cache location return the same read-only
+    :class:`MnistLike`.
+    """
+    data_dir = (
+        cache_dir if cache_dir is not None else default_cache_dir()
+    ) / "data"
+    key = (num_train, num_test, seed, str(data_dir.resolve()))
+    with _DATASETS_LOCK:
+        dataset = _DATASETS.get(key)
+        if dataset is not None:
+            obs.count("zoo/dataset/hits")
+            return dataset
+        obs.count("zoo/dataset/misses")
+        dataset = load_mnist_like(
+            num_train, num_test, seed=seed, cache_dir=data_dir
+        )
+        _DATASETS[key] = dataset
+    return dataset
 
 
 def get_trained_network(
@@ -230,17 +256,14 @@ def get_quantized(
 
     The cache path carries the full recipe digest (architecture,
     training recipe, search configuration), so differently-configured
-    quantizations of the same network never collide on disk.
+    quantizations of the same network never collide on disk.  A cache
+    hit reads both Table 3 errors from the artefact's sidecar and loads
+    neither ``dataset`` nor the float network; they are used only to
+    quantize on a miss.
     """
     spec = get_network_spec(name)
     digest = recipe_digest(name, search_config)
     path, meta_path = quantized_cache_paths(name, search_config, cache_dir)
-
-    dataset = dataset if dataset is not None else get_dataset(cache_dir=cache_dir)
-    network = get_trained_network(name, dataset, cache_dir=cache_dir)
-    float_error = 1.0 - evaluate_accuracy(
-        network, dataset.test.images, dataset.test.labels
-    )
 
     if not force:
         rescaled = build_network(spec, seed=ZOO_RECIPES[name].seed)
@@ -255,12 +278,20 @@ def get_quantized(
                     int(k): v for k, v in meta["layer_accuracy"].items()
                 },
             )
-            quant_error = meta["quantized_test_error"]
             return QuantizedModel(
-                name, search, float_error, quant_error, digest=digest
+                name,
+                search,
+                meta["float_test_error"],
+                meta["quantized_test_error"],
+                digest=digest,
             )
 
     obs.count("zoo/cache/misses")
+    dataset = dataset if dataset is not None else get_dataset(cache_dir=cache_dir)
+    network = get_trained_network(name, dataset, cache_dir=cache_dir)
+    float_error = 1.0 - evaluate_accuracy(
+        network, dataset.test.images, dataset.test.labels
+    )
     logger.info("running Algorithm 1 threshold search for %s", name)
     config = search_config if search_config is not None else SearchConfig()
     subset = min(SEARCH_SUBSET, len(dataset.train))
@@ -335,8 +366,9 @@ def warm_model(
 
 
 def clear_warm_models() -> None:
-    """Drop every warm-registry entry (tests, memory pressure)."""
+    """Drop every warm model and shared dataset (tests, memory pressure)."""
     _WARM_MODELS.clear()
+    _DATASETS.clear()
 
 
 def build_deep_network(seed: int = 5) -> Sequential:

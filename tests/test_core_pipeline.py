@@ -253,6 +253,30 @@ class TestCalibratedSessions:
         images = get_dataset().test.images[:8]
         assert calibrated.infer_batch(images).shape == (8, 10)
 
+    def test_calibrated_compiles_read_the_dataset_once(self, monkeypatch):
+        """The calibration set comes from the zoo's shared dataset, so a
+        second calibrated compile reads no file."""
+        from repro import obs, zoo
+
+        reads = []
+        real_load = zoo.load_mnist_like
+
+        def counting_load(*args, **kwargs):
+            reads.append(args)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(zoo, "_DATASETS", {})
+        monkeypatch.setattr(zoo, "load_mnist_like", counting_load)
+        with obs.recording() as rec:
+            for _ in range(2):
+                api.compile(
+                    "network2", calibrate_splits=True, reuse=False
+                )
+        counters = rec.metrics.as_dict()["counters"]
+        assert len(reads) == 1
+        assert counters["zoo/dataset/misses"] == 1
+        assert counters["zoo/dataset/hits"] == 1
+
     def test_non_sei_engine_rejected_before_calibrating(self):
         with pytest.raises(ConfigurationError, match="calibrate_splits"):
             SessionConfig(

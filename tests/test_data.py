@@ -1,5 +1,8 @@
 """Unit and property tests for repro.data."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from repro.data import (
     load_mnist_like,
     render_digit,
 )
+from repro.data import datasets
 from repro.errors import ConfigurationError, ShapeError
 
 
@@ -177,6 +181,82 @@ class TestLoadMnistLike:
         ds = load_mnist_like(20, 10, seed=2, cache_dir=tmp_path)
         assert ds.num_classes == 10
         assert ds.image_shape == (1, 28, 28)
+
+    def test_arrays_are_read_only(self, tmp_path):
+        fresh = load_mnist_like(20, 10, seed=2, cache_dir=tmp_path)
+        cached = load_mnist_like(20, 10, seed=2, cache_dir=tmp_path)
+        for ds in (fresh, cached):
+            for split in (ds.train, ds.test):
+                with pytest.raises(ValueError, match="read-only"):
+                    split.images[0, 0, 0, 0] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    split.labels[0] = 1
+
+
+class TestLazyTrainSplit:
+    """A cache hit reads the test split at once and the train split,
+    most of the file, on first use."""
+
+    @pytest.fixture
+    def reads(self, tmp_path, monkeypatch):
+        """Split names read from disk, in order, after the cache exists."""
+        load_mnist_like(40, 12, seed=3, cache_dir=tmp_path)
+        log = []
+        real_read = datasets._read_split
+
+        def logging_read(path, split):
+            log.append(split)
+            return real_read(path, split)
+
+        monkeypatch.setattr(datasets, "_read_split", logging_read)
+        return log
+
+    def test_train_read_on_first_touch_only(self, tmp_path, reads):
+        ds = load_mnist_like(40, 12, seed=3, cache_dir=tmp_path)
+        assert reads == ["test"]
+        assert len(ds.train) == 40 and len(ds.test) == 12
+        assert reads == ["test"]
+        images = ds.train.images
+        assert reads == ["test", "train"]
+        labels = ds.train.labels
+        assert reads == ["test", "train"]
+        expected_x, expected_y = generate_images(40, seed=3)
+        np.testing.assert_array_equal(images, expected_x)
+        np.testing.assert_array_equal(labels, expected_y)
+        assert ds.train.subset(5).images.shape == (5, 1, 28, 28)
+
+    def test_concurrent_first_access_reads_once(
+        self, tmp_path, reads, monkeypatch
+    ):
+        ds = load_mnist_like(40, 12, seed=3, cache_dir=tmp_path)
+        barrier = threading.Barrier(4)
+        logged_read = datasets._read_split
+
+        def contended_read(path, split):
+            # Both threads are past the unlocked check before either
+            # finishes reading.
+            time.sleep(0.05)
+            return logged_read(path, split)
+
+        monkeypatch.setattr(datasets, "_read_split", contended_read)
+        results = [None] * 4
+
+        def touch(slot):
+            barrier.wait(timeout=10)
+            results[slot] = (ds.train.images, ds.train.labels)
+
+        threads = [threading.Thread(target=touch, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert reads == ["test", "train"]
+        x0, y0 = results[0]
+        assert x0.shape == (40, 1, 28, 28) and len(y0) == 40
+        for x, y in results[1:]:
+            np.testing.assert_array_equal(x, x0)
+            np.testing.assert_array_equal(y, y0)
 
 
 @settings(max_examples=15, deadline=None)

@@ -49,18 +49,6 @@ class TestForward:
         assert len(acts) == len(net)
         np.testing.assert_allclose(acts[-1], net.forward(x))
 
-    def test_forward_from_continues_correctly(self, rng):
-        net = build_tiny_network()
-        x = rng.normal(size=(2, 1, 28, 28))
-        acts = net.forward_collect(x)
-        resumed = net.forward_from(acts[2], 3)
-        np.testing.assert_allclose(resumed, acts[-1])
-
-    def test_forward_from_bad_index(self, rng):
-        net = build_tiny_network()
-        with pytest.raises(ConfigurationError):
-            net.forward_from(rng.normal(size=(1, 10)), 99)
-
 
 class TestIntrospection:
     def test_quantizable_indices(self):

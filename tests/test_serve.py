@@ -230,6 +230,9 @@ class TestMicroBatcher:
                 mb.submit(np.zeros(3))
             with pytest.raises(ShapeError):
                 mb.submit(request_images[1].astype(object))
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ShapeError, match="finite"):
+                    mb.submit(np.full_like(request_images[1], value))
             also_good = mb.submit(request_images[1])
             np.testing.assert_array_equal(
                 good.result(timeout=30), tiny_session.infer(request_images[0])
@@ -676,6 +679,32 @@ class TestTemporalSession:
         with obs.recording() as rec:
             with pytest.raises(ShapeError, match=r"got \(0, "):
                 session.infer_batch(np.zeros((0,) + shape))
+        assert "serve/samples" not in rec.metrics.as_dict()["counters"]
+        assert before == {
+            name: (array.age, array.generation)
+            for name, array in session.device_arrays.items()
+        }
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_batch_rejected_before_any_state_moves(
+        self, tiny_quantized, value
+    ):
+        from repro import obs
+
+        session = InferenceSession.from_artifacts(
+            tiny_quantized.network,
+            tiny_quantized.thresholds,
+            self._temporal_config(age_per_batch=1.0),
+        )
+        batch = np.zeros((3,) + tiny_quantized.network.input_shape)
+        batch[1, 0, 5, 7] = value
+        before = {
+            name: (array.age, array.generation)
+            for name, array in session.device_arrays.items()
+        }
+        with obs.recording() as rec:
+            with pytest.raises(ShapeError, match="finite"):
+                session.infer_batch(batch)
         assert "serve/samples" not in rec.metrics.as_dict()["counters"]
         assert before == {
             name: (array.age, array.generation)

@@ -499,6 +499,27 @@ class TestAdmissionControl:
                     future.result(timeout=10), tiny_session.infer(x)
                 )
 
+    def test_non_finite_request_fails_and_frees_its_window_slot(
+        self, tiny_session, tiny_dataset
+    ):
+        """With a one-request window, a refused NaN/Inf request must
+        give its slot back or every later request would be shed."""
+        config = GatewayConfig(
+            shards=1, max_in_flight=1, batcher=BatcherConfig(workers=1)
+        )
+        images = tiny_dataset["test_x"]
+        with AsyncGateway({"default": lambda: tiny_session}, config=config) as gw:
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ShapeError, match="finite"):
+                    gw.submit(np.full_like(images[0], value)).result(
+                        timeout=10
+                    )
+                np.testing.assert_array_equal(
+                    gw.infer(images[0], timeout=10),
+                    tiny_session.infer(images[0]),
+                )
+            assert gw.stats()["in_flight"] == 0
+
 
 class TestZeroCopyHandoff:
     def test_submit_enqueues_the_callers_buffer(self):

@@ -7,11 +7,13 @@ retrain from their copy; the atomic-save test and the deep network start
 from an empty cache.
 """
 
+import json
 import shutil
 
 import numpy as np
 import pytest
 
+from repro import obs, zoo
 from repro.data.datasets import Dataset, MnistLike
 from repro.data.synthetic_mnist import generate_images
 from repro.zoo import (
@@ -113,6 +115,27 @@ class TestQuantized:
         err = bn.error_rate(small_bundle.test.images, small_bundle.test.labels)
         assert err == pytest.approx(cached.quantized_test_error, abs=1e-9)
 
+    def test_hit_reads_both_errors_from_the_sidecar(
+        self, small_bundle, cache_dir, monkeypatch
+    ):
+        """A hit runs no float forward pass and loads no float network,
+        whatever dataset it is handed."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cache hit must not touch the float net")
+
+        _, meta_path = quantized_cache_paths("network2", cache_dir=cache_dir)
+        meta = json.loads(meta_path.read_text())
+        monkeypatch.setattr(zoo, "evaluate_accuracy", forbidden)
+        monkeypatch.setattr(zoo, "get_trained_network", forbidden)
+        other_x, other_y = generate_images(30, seed=99)
+        other = MnistLike(
+            train=Dataset(other_x, other_y), test=Dataset(other_x, other_y)
+        )
+        for dataset in (small_bundle, other):
+            qm = get_quantized("network2", dataset=dataset, cache_dir=cache_dir)
+            assert qm.float_test_error == meta["float_test_error"]
+            assert qm.quantized_test_error == meta["quantized_test_error"]
+
 
 class TestDigestCache:
     def test_different_search_configs_do_not_collide(
@@ -178,6 +201,22 @@ class TestWarmRegistry:
         assert fresh is not first
 
 
+class TestSharedDataset:
+    def test_one_read_only_bundle_per_key(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(zoo, "_DATASETS", {})
+        with obs.recording() as rec:
+            first = zoo.get_dataset(40, 12, seed=3, cache_dir=tmp_path)
+            again = zoo.get_dataset(40, 12, seed=3, cache_dir=tmp_path)
+            other = zoo.get_dataset(40, 12, seed=4, cache_dir=tmp_path)
+        assert again is first and other is not first
+        counters = rec.metrics.as_dict()["counters"]
+        assert counters["zoo/dataset/hits"] == 1
+        assert counters["zoo/dataset/misses"] == 2
+        assert not first.test.images.flags.writeable
+        clear_warm_models()
+        assert zoo.get_dataset(40, 12, seed=3, cache_dir=tmp_path) is not first
+
+
 class TestDeepNetwork:
     def test_build_structure(self):
         from repro.zoo import build_deep_network
@@ -236,6 +275,24 @@ class TestCorruptCache:
             )
         assert any("corrupt model cache" in r.message for r in caplog.records)
         assert redo.search.thresholds == qm.search.thresholds
+
+    def test_sidecar_without_float_error_requantizes(
+        self, small_bundle, cache_dir, caplog
+    ):
+        qm = get_quantized("network2", dataset=small_bundle, cache_dir=cache_dir)
+        _, meta_path = quantized_cache_paths("network2", cache_dir=cache_dir)
+        meta = json.loads(meta_path.read_text())
+        del meta["float_test_error"]
+        meta_path.write_text(json.dumps(meta))
+        with caplog.at_level("WARNING", logger="repro.zoo"):
+            redo = get_quantized(
+                "network2", dataset=small_bundle, cache_dir=cache_dir
+            )
+        assert any("corrupt model cache" in r.message for r in caplog.records)
+        assert redo.search.thresholds == qm.search.thresholds
+        assert redo.float_test_error == qm.float_test_error
+        rewritten = json.loads(meta_path.read_text())
+        assert rewritten["float_test_error"] == qm.float_test_error
 
     def test_truncated_quantized_npz_requantizes(
         self, small_bundle, cache_dir, caplog
